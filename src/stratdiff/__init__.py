@@ -8,8 +8,8 @@ generators and Monte Carlo validation.
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       SequenceError, SizeGuardError, SolveResult,
                       ZeroInfluenceError, activation_probability,
-                      expected_step_time, infeasible_result, load,
-                      load_instance, save, save_instance, sequence_time,
+                      check_instance, expected_step_time, infeasible_result,
+                      load, load_instance, save, save_instance, sequence_time,
                       validate, validate_instance)
 from .exact import brute_force_optimal, dp_optimal
 from .decompose import (ComponentInstance, biconnected_components,
@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DiffusionInstance", "InfluenceNetwork", "NetworkFormatError",
     "SequenceError", "SizeGuardError", "SolveResult", "ZeroInfluenceError",
-    "activation_probability", "expected_step_time", "infeasible_result",
+    "activation_probability", "check_instance", "expected_step_time",
+    "infeasible_result",
     "load", "load_instance", "save", "save_instance", "sequence_time",
     "validate", "validate_instance",
     "brute_force_optimal", "dp_optimal",

@@ -24,9 +24,6 @@ from .decompose import (biconnected_components, component_instances,
 from .exact import brute_force_optimal, dp_optimal
 from .network import NetworkFormatError, SequenceError, SizeGuardError
 
-SOLVERS = ("brute", "dp", "greedy", "majority", "strategy-a",
-           "tw-full", "tw-partial", "decompose")
-
 
 def _write_json(payload: dict, out):
     text = json.dumps(payload, indent=1)
@@ -48,9 +45,7 @@ def _load_instance_with_overrides(args) -> network.DiffusionInstance:
         fields["beta"] = args.beta
     if fields:
         inst = dataclasses.replace(inst, **fields)
-    problems = network.validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    network.check_instance(inst)
     return inst
 
 
@@ -62,33 +57,38 @@ def _gk_k_of(inst) -> int:
     return k
 
 
+def _tw(fn):
+    def run(inst, args, force):
+        td = treewidth.load_td(args.td) if getattr(args, "td", None) else None
+        return fn(inst, td, cap=10 ** 9 if force else treewidth.GROUND_CAP)
+    return run
+
+
+def _dp_cap(inst, force):
+    return inst.network.node_count if force else None
+
+
+# name -> fn(instance, parsed args, force); --solver offers the keys
+SOLVERS = {
+    "brute": lambda inst, args, force: brute_force_optimal(inst, force=force),
+    "dp": lambda inst, args, force: dp_optimal(
+        inst, max_nodes=_dp_cap(inst, force)),
+    "greedy": lambda inst, args, force: heuristics.greedy_sequence(inst),
+    "majority": lambda inst, args, force: heuristics.majority_sequence(inst),
+    "strategy-a": lambda inst, args, force: heuristics.strategy_a_gk(
+        _gk_k_of(inst), inst),
+    "tw-full": _tw(treewidth.tw_full_optimal),
+    "tw-partial": _tw(treewidth.tw_partial_optimal),
+    "decompose": lambda inst, args, force: solve_full_via_decomposition(
+        inst, lambda sub: dp_optimal(sub, max_nodes=_dp_cap(inst, force))),
+}
+
+
 def _run_solver(inst, args):
-    name = args.solver
     force = getattr(args, "force", False)
     if force:
         print("warning: size guards disabled", file=sys.stderr)
-    if name == "brute":
-        return brute_force_optimal(inst, force=force)
-    if name == "dp":
-        cap = inst.network.node_count if force else None
-        return dp_optimal(inst, max_nodes=cap)
-    if name == "greedy":
-        return heuristics.greedy_sequence(inst)
-    if name == "majority":
-        return heuristics.majority_sequence(inst)
-    if name == "strategy-a":
-        return heuristics.strategy_a_gk(_gk_k_of(inst), inst)
-    if name in ("tw-full", "tw-partial"):
-        td = treewidth.load_td(args.td) if getattr(args, "td", None) else None
-        cap = 10 ** 9 if force else treewidth.GROUND_CAP
-        fn = treewidth.tw_full_optimal if name == "tw-full" \
-            else treewidth.tw_partial_optimal
-        return fn(inst, td, cap=cap)
-    if name == "decompose":
-        cap = inst.network.node_count if force else None
-        return solve_full_via_decomposition(
-            inst, lambda sub: dp_optimal(sub, max_nodes=cap))
-    raise ValueError(f"unknown solver {name!r}")
+    return SOLVERS[args.solver](inst, args, force)
 
 
 def cmd_solve(args) -> int:

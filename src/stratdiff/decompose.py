@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
-                      infeasible_result)
+                      check_instance, infeasible_result)
 
 INF = math.inf
 
@@ -159,7 +159,10 @@ def solve_full_via_decomposition(instance: DiffusionInstance,
     solver is any full-diffusion solver taking a DiffusionInstance, e.g.
     dp_optimal.  The merged sequence evaluates to the sum of block optima.
     """
+    check_instance(instance)
     comps = component_instances(instance)
+    # Splices the block step times instead of replaying the merged order:
+    # the total must be exactly the sum of the block optima.
     seq = [instance.seed]
     steps = [0.0]
     total = 0.0

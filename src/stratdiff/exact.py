@@ -13,20 +13,14 @@ import math
 import os
 
 from .network import (DiffusionInstance, SizeGuardError, SolveResult,
-                      _step_time_masked, infeasible_result, sequence_time,
-                      validate_instance)
+                      _step_time_masked, check_instance, infeasible_result,
+                      sequence_time)
 
 INF = math.inf
 
 DP_NODE_CAP = 28
 DP_CAP_ENV = "SD_MAX_DP_NODES"
 BRUTE_NODE_CAP = 10
-
-
-def _check(instance: DiffusionInstance):
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
 
 
 def brute_force_optimal(instance: DiffusionInstance, *,
@@ -36,7 +30,7 @@ def brute_force_optimal(instance: DiffusionInstance, *,
     Factorial time; refuses node_count > 10 unless force=True.  Among equal
     optima the lexicographically smallest sequence wins.
     """
-    _check(instance)
+    check_instance(instance)
     net = instance.network
     n = net.node_count
     if n > BRUTE_NODE_CAP and not force:
@@ -46,22 +40,16 @@ def brute_force_optimal(instance: DiffusionInstance, *,
     z = instance.z
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    if z == 1:
-        return SolveResult(sequence=(seed,), total_time=0.0, step_times=(0.0,),
-                           solver="brute-force")
-
     best_total = INF
     best_seq = None
     seq = [seed]
-    steps = [0.0]
-    incoming = net._incoming
 
     def extend(mask: int, total: float):
         nonlocal best_total, best_seq
         if len(seq) == z:
             if total < best_total:
                 best_total = total
-                best_seq = (tuple(seq), tuple(steps))
+                best_seq = tuple(seq)
             return
         for i in range(n):
             if (mask >> i) & 1:
@@ -74,16 +62,13 @@ def brute_force_optimal(instance: DiffusionInstance, *,
             if cand >= best_total:
                 continue
             seq.append(i)
-            steps.append(st)
             extend(mask | (1 << i), cand)
             seq.pop()
-            steps.pop()
 
     extend(1 << seed, 0.0)
     if best_seq is None:
         return infeasible_result(seed, "brute-force")
-    return SolveResult(sequence=best_seq[0], total_time=best_total,
-                       step_times=best_seq[1], solver="brute-force")
+    return sequence_time(instance, best_seq, solver="brute-force")
 
 
 def dp_optimal(instance: DiffusionInstance, *,
@@ -97,7 +82,7 @@ def dp_optimal(instance: DiffusionInstance, *,
     node_count above the cap (default 28, override with max_nodes or the
     SD_MAX_DP_NODES environment variable).
     """
-    _check(instance)
+    check_instance(instance)
     net = instance.network
     n = net.node_count
     cap = max_nodes if max_nodes is not None else \
@@ -109,10 +94,6 @@ def dp_optimal(instance: DiffusionInstance, *,
     z = instance.z
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    if z == 1:
-        return SolveResult(sequence=(seed,), total_time=0.0, step_times=(0.0,),
-                           solver="dp")
-
     nbr = net._neighbor_mask
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
@@ -154,15 +135,4 @@ def dp_optimal(instance: DiffusionInstance, *,
         i = preds[k][mask]
         rev.append(i)
         mask ^= 1 << i
-    seq = [seed] + rev[::-1]
-
-    steps = [0.0]
-    total = 0.0
-    mask = 1 << seed
-    for v in seq[1:]:
-        st = _step_time_masked(net, mask, v, alpha, beta)
-        steps.append(st)
-        total += st
-        mask |= 1 << v
-    return SolveResult(sequence=tuple(seq), total_time=total,
-                       step_times=tuple(steps), solver="dp")
+    return sequence_time(instance, [seed] + rev[::-1], solver="dp")

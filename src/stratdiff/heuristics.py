@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 
 from .network import (DiffusionInstance, SolveResult, _step_time_masked,
-                      infeasible_result, sequence_time, validate_instance)
+                      check_instance, infeasible_result, sequence_time)
 
 INF = math.inf
 
 
 def _run(instance: DiffusionInstance, pick, name, rng):
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    check_instance(instance)
     net = instance.network
     n = net.node_count
+    # The order is chosen step by step from the candidates' step times, so
+    # those are kept as they come rather than replayed through sequence_time.
     seq = [instance.seed]
     steps = [0.0]
     total = 0.0

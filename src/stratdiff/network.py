@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 INF = math.inf
 
@@ -48,18 +47,6 @@ def mask_of(nodes) -> int:
     for v in nodes:
         m |= 1 << v
     return m
-
-
-def nodes_of(mask: int):
-    """Decode a bitmask into ascending node ids."""
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 class InfluenceNetwork:
@@ -252,34 +239,10 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
     return ratio
 
 
-def _probability_masked(net: InfluenceNetwork, active_mask: int, i: int,
-                        alpha: float, beta: float) -> float:
-    w = net.total_influence[i]
-    if w <= 0.0:
-        raise ZeroInfluenceError(f"node {i} has zero total influence")
-    s = 0.0
-    for j, wji in net._incoming[i]:
-        if (active_mask >> j) & 1:
-            s += wji
-    if s <= 0.0:
-        return 0.0  # 0**alpha = 0, for every alpha
-    if s > w:
-        s = w
-    frac = s / w
-    if alpha != 1.0:
-        frac = frac ** alpha
-    if beta != 1.0:
-        frac = beta * frac
-    return frac
-
-
 def activation_probability(net: InfluenceNetwork, active, i: int,
                            alpha: float = 1.0, beta: float = 1.0) -> float:
     """Probability that i activates in one step given the active set."""
-    mask = active if isinstance(active, int) else mask_of(active)
-    if (mask >> i) & 1:
-        raise ValueError(f"node {i} is already active")
-    return _probability_masked(net, mask, i, alpha, beta)
+    return 1.0 / expected_step_time(net, active, i, alpha, beta)
 
 
 def expected_step_time(net: InfluenceNetwork, active, i: int,
@@ -302,7 +265,7 @@ def sequence_time(instance: DiffusionInstance, sequence,
     total infinite but later steps are still evaluated against the grown set.
     """
     net = instance.network
-    seq = tuple(int(v) for v in sequence)
+    seq = tuple(map(int, sequence))
     if not seq:
         raise SequenceError("sequence is empty")
     if seq[0] != instance.seed:
@@ -326,29 +289,22 @@ def sequence_time(instance: DiffusionInstance, sequence,
 
 
 def validate(net: InfluenceNetwork):
-    """Return a list of human-readable invariant violations (empty if clean)."""
+    """Return a list of human-readable value violations (empty if clean).
+
+    Structural breakage never gets this far: the constructor rejects it.
+    """
     out = []
     for u, v, wuv, wvu in net.edges:
-        if u == v:
-            out.append(f"self-loop at node {u}")
-        if wuv < 0:
-            out.append(f"negative weight {wuv} on edge ({u}, {v}) direction {u}->{v}")
-        if wvu < 0:
-            out.append(f"negative weight {wvu} on edge ({u}, {v}) direction {v}->{u}")
-    seen = set()
-    for u, v, _, _ in net.edges:
-        if (u, v) in seen:
-            out.append(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
+        for w, a, b in ((wuv, u, v), (wvu, v, u)):
+            if not math.isfinite(w):
+                out.append(f"non-finite weight {w} on edge ({u}, {v}) direction {a}->{b}")
+            elif w < 0:
+                out.append(f"negative weight {w} on edge ({u}, {v}) direction {a}->{b}")
     for i, x in enumerate(net.external_influence):
-        if x < 0:
+        if not math.isfinite(x):
+            out.append(f"non-finite external influence {x} at node {i}")
+        elif x < 0:
             out.append(f"negative external influence {x} at node {i}")
-    for i in range(net.node_count):
-        w = net.external_influence[i]
-        for _, wji in net.incoming(i):
-            w += wji
-        if w != net.total_influence[i]:
-            out.append(f"cached total influence at node {i} does not match recomputation")
     return out
 
 
@@ -365,6 +321,13 @@ def validate_instance(instance: DiffusionInstance):
     if not (0.0 < instance.beta <= 1.0):
         out.append(f"beta {instance.beta} outside (0, 1]")
     return out
+
+
+def check_instance(instance: DiffusionInstance):
+    """Raise ValueError naming every violation of validate_instance."""
+    problems = validate_instance(instance)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------

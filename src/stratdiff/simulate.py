@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (DiffusionInstance, _probability_masked, sequence_time)
+from .network import DiffusionInstance, sequence_time
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,7 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
     if not analytic.feasible:
         raise ValueError("sequence is infeasible; nothing to sample")
 
-    net = instance.network
-    probs = []
-    mask = 1 << analytic.sequence[0]
-    for v in analytic.sequence[1:]:
-        probs.append(_probability_masked(net, mask, v,
-                                         instance.alpha, instance.beta))
-        mask |= 1 << v
+    probs = [1.0 / st for st in analytic.step_times[1:]]
 
     rng = np.random.default_rng(rng_seed)
     totals = np.zeros(trials)

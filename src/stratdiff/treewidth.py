@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       SizeGuardError, SolveResult, _step_time_masked,
-                      infeasible_result, validate_instance)
+                      check_instance, infeasible_result, sequence_time)
 
 INF = math.inf
 
@@ -287,7 +287,7 @@ def save_td(td: TreeDecomposition, path: str):
 
 
 def _restrict(seq, members):
-    return tuple(x for x in seq if x in members)
+    return tuple([x for x in seq if x in members])
 
 
 def compatible(gamma, gamma_p, mode: str = "full", ground=None, ground_p=None):
@@ -369,7 +369,8 @@ def enumerate_admissible(bag, instance: DiffusionInstance, children=(),
     ground = bag_ground(net, bag)
     if len(ground) > cap:
         raise SizeGuardError(
-            f"closed neighborhood has {len(ground)} nodes, above cap {cap}")
+            f"bag {sorted(bag)} has a closed neighborhood of {len(ground)} "
+            f"nodes, above cap {cap}")
     gammas = _orderings(net, bag, ground, instance.seed, mode)
     kid_keys = []
     for ground_c, orderings_c in children:
@@ -377,7 +378,10 @@ def enumerate_admissible(bag, instance: DiffusionInstance, children=(),
         kid_keys.append((s, {_restrict(g, s) for g in orderings_c}))
     kept = []
     for g in gammas:
-        if all(_restrict(g, s) in keys for s, keys in kid_keys):
+        for s, keys in kid_keys:
+            if _restrict(g, s) not in keys:
+                break
+        else:
             kept.append(g)
     return tuple(kept)
 
@@ -408,9 +412,7 @@ def _merge_ordering(gstar, gamma):
 
 
 def _tw_solve(instance, td, mode, cap):
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    check_instance(instance)
     net = instance.network
     n = net.node_count
     if td is None:
@@ -434,12 +436,6 @@ def _tw_solve(instance, td, mode, cap):
         bag = td.bags[t]
         bagset = set(bag)
         ground = bag_ground(net, bag)
-        if len(ground) > cap:
-            raise SizeGuardError(
-                f"bag {t} has a closed neighborhood of {len(ground)} nodes, "
-                f"above cap {cap}")
-        gammas = _orderings(net, bag, ground, seed, mode)
-
         kid_ids = td.children(t)
         kid_data = []
         for c in kid_ids:
@@ -476,19 +472,14 @@ def _tw_solve(instance, td, mode, cap):
                                 arr[mm] = v
                     prof[key] = [v - sc_cost if v < INF else INF for v in arr]
             kid_data.append((s, prof, counts))
+        # A child's orderings matter here only through their restrictions
+        # to the shared ground, which are the keys of its profile.
+        gammas = enumerate_admissible(
+            bag, instance, [(s, prof) for s, prof, _ in kid_data], mode, cap)
 
         kept_g, kept_cm, kept_ts, kept_tp = [], [], [], []
         for gamma in gammas:
-            keys = []
-            ok = True
-            for s, prof, _ in kid_data:
-                key = _restrict(gamma, s)
-                if key not in prof:
-                    ok = False
-                    break
-                keys.append(key)
-            if not ok:
-                continue
+            keys = [_restrict(gamma, s) for s, _, _ in kid_data]
             mask = 0
             cm = {}
             bagcost = 0.0
@@ -556,13 +547,12 @@ def _tw_solve(instance, td, mode, cap):
             rt = recs[t]
             bj = -1
             bv = INF
-            gset = set(gstar)
+            seen = _restrict(gstar, rt["ground"])
             for j, gamma in enumerate(rt["gammas"]):
                 v = rt["tstar"][j]
                 if v >= bv:
                     continue
-                common = set(gamma) & gset
-                if _restrict(gamma, common) == _restrict(gstar, common):
+                if compatible(gamma, seen):
                     bv = v
                     bj = j
             if bj < 0:
@@ -587,7 +577,7 @@ def _tw_solve(instance, td, mode, cap):
                 v = rt["tstar"][j][k]
                 if v >= bv:
                     continue
-                if _restrict(gamma, s_known) == want:
+                if compatible(gamma, want, "partial", rt["ground"], s_known):
                     bv = v
                     bj = j
             if bj < 0:
@@ -624,18 +614,10 @@ def _tw_solve(instance, td, mode, cap):
 
     if gstar[0] != seed:
         raise RuntimeError("reconstructed sequence does not start at the seed")
-    steps = [0.0]
-    total = 0.0
-    mask = 1 << seed
-    for v in gstar[1:]:
-        st = _step_time_masked(net, mask, v, alpha, beta)
-        steps.append(st)
-        total += st
-        mask |= 1 << v
-    if not (abs(total - best) <= 1e-9 * max(1.0, abs(best))):
+    res = sequence_time(instance, gstar, solver=solver_name)
+    if not (abs(res.total_time - best) <= 1e-9 * max(1.0, abs(best))):
         raise RuntimeError("reconstructed sequence does not match the optimum")
-    return SolveResult(sequence=tuple(gstar), total_time=total,
-                       step_times=tuple(steps), solver=solver_name)
+    return res
 
 
 def tw_full_optimal(instance: DiffusionInstance,

@@ -87,6 +87,19 @@ def test_solve_bad_inputs(tmp_path, capsys):
     assert code == 1 and "invalid instance" in err
 
 
+def test_solve_rejects_non_finite_weight(tmp_path, capsys):
+    # json.load accepts Infinity; the instance must be refused, not solved
+    # to "infeasible"
+    p = tmp_path / "inf.json"
+    p.write_text('{"n": 2, "seed": 0, "z": 2, "edges": '
+                 '[{"u": 0, "v": 1, "wuv": Infinity, "wvu": 1.0}]}')
+    code, out, err = run(capsys, "solve", str(p))
+    assert code == 1
+    assert out == ""
+    assert "invalid instance: non-finite weight inf on edge (0, 1) " \
+        "direction 0->1" in err
+
+
 def test_solve_treewidth_with_td_file(tmp_path, capsys):
     net = path_net(5)
     inst = full_instance(net)

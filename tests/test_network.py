@@ -6,7 +6,8 @@ import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        SequenceError, SolveResult, ZeroInfluenceError,
-                       activation_probability, expected_step_time,
+                       activation_probability, check_instance,
+                       expected_step_time,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, validate,
                        validate_instance)
@@ -126,6 +127,24 @@ def test_validate_reports_value_problems():
     assert len(problems) == 1
     assert "(0, 1)" in problems[0]
     assert validate(path_net(4)) == []
+
+
+@pytest.mark.parametrize("bad", [INF, -INF, math.nan])
+def test_validate_rejects_non_finite_weight(bad):
+    net = InfluenceNetwork(3, [(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
+    assert validate(net) == [
+        f"non-finite weight {bad} on edge (0, 1) direction 1->0"]
+    inst = DiffusionInstance(net, seed=0, z=3)
+    with pytest.raises(ValueError, match="invalid instance: non-finite weight"):
+        check_instance(inst)
+
+
+@pytest.mark.parametrize("bad", [INF, -INF, math.nan])
+def test_validate_rejects_non_finite_external(bad):
+    net = InfluenceNetwork(2, [(0, 1, 1.0, 1.0)], external_influence=[0.0, bad])
+    assert validate(net) == [f"non-finite external influence {bad} at node 1"]
+    with pytest.raises(ValueError, match="non-finite external influence"):
+        check_instance(DiffusionInstance(net, seed=0, z=2))
 
 
 def test_validate_instance_ranges():
