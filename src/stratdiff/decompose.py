@@ -12,14 +12,11 @@ global sequence.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
-                      check_instance, infeasible_result)
-
-INF = math.inf
+                      check_instance, infeasible_result, sequence_time)
 
 
 def biconnected_components(net: InfluenceNetwork):
@@ -157,24 +154,16 @@ def solve_full_via_decomposition(instance: DiffusionInstance,
     """Solve full diffusion by solving each block and splicing the sequences.
 
     solver is any full-diffusion solver taking a DiffusionInstance, e.g.
-    dp_optimal.  The merged sequence evaluates to the sum of block optima.
+    dp_optimal.  The result is the replay of the merged sequence, whose
+    total equals the sum of block optima up to rounding.
     """
     check_instance(instance)
-    comps = component_instances(instance)
-    # Splices the block step times instead of replaying the merged order:
-    # the total must be exactly the sum of the block optima.
     seq = [instance.seed]
-    steps = [0.0]
-    total = 0.0
-    for comp in comps:
+    for comp in component_instances(instance):
         res = solver(comp.instance)
         if not res.feasible:
             return infeasible_result(instance.seed, "decompose")
-        for local, st in zip(res.sequence[1:], res.step_times[1:]):
-            seq.append(comp.to_global[local])
-            steps.append(st)
-            total += st
+        seq.extend(comp.to_global[local] for local in res.sequence[1:])
     if len(seq) != instance.network.node_count:
         raise RuntimeError("block merge lost nodes")  # pragma: no cover
-    return SolveResult(sequence=tuple(seq), total_time=total,
-                       step_times=tuple(steps), solver="decompose")
+    return sequence_time(instance, seq, solver="decompose")

@@ -263,6 +263,7 @@ def sequence_time(instance: DiffusionInstance, sequence,
 
     The active set grows prefix by prefix; an unactivatable step makes the
     total infinite but later steps are still evaluated against the grown set.
+    The instance is not validated here: callers run check_instance first.
     """
     net = instance.network
     seq = tuple(map(int, sequence))

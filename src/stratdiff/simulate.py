@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DiffusionInstance, sequence_time
+from .network import DiffusionInstance, check_instance, sequence_time
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
                       rng_seed: int = 0) -> SimulationResult:
     """Sample the total activation time of a fixed sequence.
 
-    Raises ValueError for an infeasible sequence (some step has probability
-    zero) or nonpositive trials.  Returns the sample mean, its standard
-    error, and the analytic expectation for comparison.
+    Raises ValueError for an invalid instance, an infeasible sequence (some
+    step has probability zero) or nonpositive trials.  Returns the sample
+    mean, its standard error, and the analytic expectation for comparison.
     """
+    check_instance(instance)
     if trials < 1:
         raise ValueError("trials must be positive")
     analytic = sequence_time(instance, sequence)

@@ -2,15 +2,17 @@
 
 Each bag of the decomposition is widened to its closed neighborhood (the
 bag plus every neighbor of a bag member), so the expected step time of any
-bag member is fully determined by an ordering of that ground set.  A
-bottom-up pass enumerates admissible orderings per bag, combines children
-through compatibility on shared ground, and a top-down pass splices the
-chosen orderings into one global sequence.
+bag member is fully determined by an ordering of that ground set.  One
+dynamic program serves both solvers.  Bottom-up, each bag keeps the
+admissible orderings its children can match on shared ground, each with a
+budget map {k: least time with k subtree nodes active} that folds in the
+children's maps; a node's step time is paid at the highest bag holding it.
+Top-down, the budget is split over the children and the chosen orderings
+are spliced into one global sequence.
 
-Two variants: tw_full_optimal activates everything (orderings are
-permutations of the ground set), tw_partial_optimal activates exactly z
-nodes (orderings are ordered subsequences and children contribute through
-a budget convolution).
+tw_partial_optimal orders subsequences of each ground and reads the root
+at k = z.  tw_full_optimal orders permutations, so every map has the
+single entry k = subtree size, read at k = n.
 """
 
 from __future__ import annotations
@@ -317,7 +319,16 @@ def bag_ground(net: InfluenceNetwork, bag) -> frozenset:
     return frozenset(g)
 
 
-def _orderings(net, bag, ground, seed, mode):
+def _checked_ground(net, bag, cap):
+    ground = bag_ground(net, bag)
+    if len(ground) > cap:
+        raise SizeGuardError(
+            f"bag {sorted(bag)} has a closed neighborhood of {len(ground)} "
+            f"nodes, above cap {cap}")
+    return ground
+
+
+def _orderings(net, bag, ground, seed, mode, kids=()):
     """Admissible orderings of the ground set, lexicographic.
 
     Constraints: the seed leads whenever it belongs to the bag, and every
@@ -325,33 +336,51 @@ def _orderings(net, bag, ground, seed, mode):
     yields permutations of the ground, partial mode every admissible
     ordered subsequence (including the empty one when the seed is not a
     bag member).
+
+    kids holds (shared ground, keys) pairs.  Each ordering comes with its
+    restriction to every shared ground and is kept only when each
+    restriction is one of that kid's keys; the search leaves a branch as
+    soon as a restriction is no prefix of any key.
     """
     elems = sorted(ground)
     bagset = frozenset(bag)
     nbr = net._neighbor_mask
+    lead = seed in bagset
+    partial = mode == "partial"
+    keysets = [keys for _, keys in kids]
+    prefixes = [{key[:i] for key in keys for i in range(len(key) + 1)}
+                for keys in keysets]
+    hits = {v: [i for i, (s, _) in enumerate(kids) if v in s] for v in elems}
     out = []
     cur = []
 
-    def dfs(placed_mask):
-        if mode == "partial":
-            if cur or seed not in bagset:
-                out.append(tuple(cur))
-        elif len(cur) == len(elems):
-            out.append(tuple(cur))
-            return
+    def dfs(placed_mask, rest):
+        if partial or len(cur) == len(elems):
+            if (cur or not lead) and \
+                    all(r in keys for r, keys in zip(rest, keysets)):
+                out.append((tuple(cur), rest))
+            if not partial:
+                return
         for v in elems:
             bit = 1 << v
             if placed_mask & bit:
                 continue
-            if not cur and seed in bagset and v != seed:
+            if not cur and lead and v != seed:
                 continue
             if v in bagset and v != seed and not (placed_mask & nbr[v]):
                 continue
-            cur.append(v)
-            dfs(placed_mask | bit)
-            cur.pop()
+            nxt = rest
+            for i in hits[v]:
+                r = rest[i] + (v,)
+                if r not in prefixes[i]:
+                    break
+                nxt = nxt[:i] + (r,) + nxt[i + 1:]
+            else:
+                cur.append(v)
+                dfs(placed_mask | bit, nxt)
+                cur.pop()
 
-    dfs(0)
+    dfs(0, ((),) * len(kids))
     return out
 
 
@@ -366,28 +395,103 @@ def enumerate_admissible(bag, instance: DiffusionInstance, children=(),
     if mode not in ("full", "partial"):
         raise ValueError(f"unknown mode {mode!r}")
     net = instance.network
-    ground = bag_ground(net, bag)
-    if len(ground) > cap:
-        raise SizeGuardError(
-            f"bag {sorted(bag)} has a closed neighborhood of {len(ground)} "
-            f"nodes, above cap {cap}")
-    gammas = _orderings(net, bag, ground, instance.seed, mode)
-    kid_keys = []
+    ground = _checked_ground(net, bag, cap)
+    kids = []
     for ground_c, orderings_c in children:
-        s = frozenset(ground) & frozenset(ground_c)
-        kid_keys.append((s, {_restrict(g, s) for g in orderings_c}))
-    kept = []
-    for g in gammas:
-        for s, keys in kid_keys:
-            if _restrict(g, s) not in keys:
-                break
-        else:
-            kept.append(g)
-    return tuple(kept)
+        s = ground & frozenset(ground_c)
+        kids.append((s, {_restrict(g, s) for g in orderings_c}))
+    return tuple(g for g, _ in
+                 _orderings(net, bag, ground, instance.seed, mode, kids))
 
 
 # ---------------------------------------------------------------------------
 # Solvers.
+
+
+@dataclass
+class _BagTable:
+    """One solved bag: its kept orderings and what each kid offers them."""
+
+    ground: frozenset
+    members: frozenset
+    kids: tuple      # child bag indices, in decomposition order
+    shared: list     # per kid: (shared ground, profile from _profile)
+    orderings: list  # kept orderings, each with a nonempty budget map
+    costs: list      # per ordering: {bag member: step time}, in its order
+    maps: list       # per ordering: budget map of the whole subtree
+
+
+def _chain(cost, profiles, cap):
+    """Budget maps of one ordering: its bag alone, then each kid folded in.
+
+    Each fold is a (min, +) convolution dropping counts above cap.
+    """
+    total = 0.0
+    for c in cost.values():
+        total += c
+    acc = {len(cost): total} if total < INF and len(cost) <= cap else {}
+    chain = [acc]
+    for pv in profiles:
+        nxt = {}
+        for m, a in acc.items():
+            for mm, b in pv.items():
+                k = m + mm
+                if k <= cap:
+                    c = a + b
+                    if c < nxt.get(k, INF):
+                        nxt[k] = c
+        acc = nxt
+        chain.append(acc)
+    return chain
+
+
+def _profile(table, s, paid_above):
+    """What a kid offers its parent, keyed by restriction to the shared ground.
+
+    Each key maps to (count, map): the least budget map over the kid's
+    orderings with that restriction, less the count and step times of its
+    active members of paid_above, which the parent bag pays for.
+    """
+    prof = {}
+    for gamma, cost, bmap in zip(table.orderings, table.costs, table.maps):
+        key = _restrict(gamma, s)
+        paid = [x for x in key if x in paid_above]
+        sc = 0.0
+        for x in paid:
+            sc += cost[x]
+        cnt, least = prof.setdefault(key, (len(paid), {}))
+        for k, v in bmap.items():
+            if v - sc < least.get(k - cnt, INF):
+                least[k - cnt] = v - sc
+    return prof
+
+
+def _solve_bag(instance, td, t, tables, mode, cap):
+    net = instance.network
+    members = td.bags[t]
+    ground = _checked_ground(net, members, cap)
+    kids = td.children(t)
+    shared = []
+    for c in kids:
+        s = ground & tables[c].ground
+        shared.append((s, _profile(tables[c], s, members & tables[c].members)))
+    table = _BagTable(ground, members, kids, shared, [], [], [])
+    for gamma, keys in _orderings(net, members, ground, instance.seed, mode,
+                                  shared):
+        mask = 0
+        cost = {}
+        for x in gamma:
+            if x in members:
+                cost[x] = 0.0 if x == instance.seed else _step_time_masked(
+                    net, mask, x, instance.alpha, instance.beta)
+            mask |= 1 << x
+        bmap = _chain(cost, [prof[key][1] for (_, prof), key
+                             in zip(shared, keys)], instance.z)[-1]
+        if bmap:
+            table.orderings.append(gamma)
+            table.costs.append(cost)
+            table.maps.append(bmap)
+    return table
 
 
 def _merge_ordering(gstar, gamma):
@@ -411,208 +515,72 @@ def _merge_ordering(gstar, gamma):
     return out
 
 
+def _reconstruct(td, tables, z):
+    """Top-down: per bag, the least ordering for its budget that agrees with
+    the sequence so far, then the budget split over its kids."""
+    gstar = []
+    known = frozenset()
+    budget = {td.root: z}
+    for t in td.topdown():
+        k = budget.get(t, 0)
+        if k == 0:
+            continue
+        table = tables[t]
+        s_known = table.ground & known
+        want = _restrict(gstar, s_known)
+        bj = -1
+        bv = INF
+        for j, gamma in enumerate(table.orderings):
+            v = table.maps[j].get(k, INF)
+            if v < bv and compatible(gamma, want, "partial", table.ground,
+                                     s_known):
+                bv = v
+                bj = j
+        if bj < 0:
+            raise RuntimeError("no compatible ordering during reconstruction")
+        gamma = table.orderings[bj]
+        gstar = _merge_ordering(gstar, gamma)
+        known |= table.ground
+        picks = [prof[_restrict(gamma, s)] for s, prof in table.shared]
+        chain = _chain(table.costs[bj], [pv for _, pv in picks], z)
+        for i in range(len(picks) - 1, -1, -1):
+            cnt, pv = picks[i]
+            prev = chain[i]
+            bm = min((m for m in sorted(prev) if k - m in pv),
+                     key=lambda m: prev[m] + pv[k - m], default=None)
+            if bm is None:
+                raise RuntimeError("budget split lost during reconstruction")
+            budget[table.kids[i]] = k - bm + cnt
+            k = bm
+        if k != len(table.costs[bj]):
+            raise RuntimeError("budget not fully assigned")
+    return gstar
+
+
 def _tw_solve(instance, td, mode, cap):
     check_instance(instance)
     net = instance.network
-    n = net.node_count
     if td is None:
         td = min_fill_decomposition(net)
     bad = validate_decomposition(net, td)
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-    if mode == "full" and instance.z != n:
+    if mode == "full" and instance.z != net.node_count:
         raise ValueError("full-diffusion solver requires z = node_count")
     z = instance.z
-    seed = instance.seed
-    alpha, beta = instance.alpha, instance.beta
     solver_name = "tw-full" if mode == "full" else "tw-partial"
-    if z == 1:
-        return SolveResult((seed,), 0.0, (0.0,), solver=solver_name)
 
-    topo = td.topdown()
-    recs = [None] * len(td.bags)
-
-    for t in reversed(topo):
-        bag = td.bags[t]
-        bagset = set(bag)
-        ground = bag_ground(net, bag)
-        kid_ids = td.children(t)
-        kid_data = []
-        for c in kid_ids:
-            rc = recs[c]
-            s = ground & rc["ground"]
-            shared_bag = bagset & rc["bag"]
-            groups = {}
-            for j, gp in enumerate(rc["gammas"]):
-                groups.setdefault(_restrict(gp, s), []).append(j)
-            prof = {}
-            counts = {}
-            for key, js in groups.items():
-                sc_nodes = [x for x in key if x in shared_bag]
-                cm0 = rc["costmaps"][js[0]]
-                sc_cost = 0.0
-                for x in sc_nodes:
-                    sc_cost += cm0[x]
-                counts[key] = len(sc_nodes)
-                if mode == "full":
-                    best = INF
-                    for j in js:
-                        v = rc["tstar"][j]
-                        if v < best:
-                            best = v
-                    prof[key] = best - sc_cost if best < INF else INF
-                else:
-                    cnt = len(sc_nodes)
-                    arr = [INF] * (z + 1)
-                    for j in js:
-                        a = rc["tstar"][j]
-                        for mm in range(0, z + 1 - cnt):
-                            v = a[mm + cnt]
-                            if v < arr[mm]:
-                                arr[mm] = v
-                    prof[key] = [v - sc_cost if v < INF else INF for v in arr]
-            kid_data.append((s, prof, counts))
-        # A child's orderings matter here only through their restrictions
-        # to the shared ground, which are the keys of its profile.
-        gammas = enumerate_admissible(
-            bag, instance, [(s, prof) for s, prof, _ in kid_data], mode, cap)
-
-        kept_g, kept_cm, kept_ts, kept_tp = [], [], [], []
-        for gamma in gammas:
-            keys = [_restrict(gamma, s) for s, _, _ in kid_data]
-            mask = 0
-            cm = {}
-            bagcost = 0.0
-            for x in gamma:
-                if x in bagset:
-                    c = 0.0 if x == seed else \
-                        _step_time_masked(net, mask, x, alpha, beta)
-                    cm[x] = c
-                    bagcost += c
-                mask |= 1 << x
-            if mode == "full":
-                tot = bagcost
-                for (s, prof, _), key in zip(kid_data, keys):
-                    v = prof[key]
-                    tot = tot + v if v < INF and tot < INF else INF
-                kept_ts.append(tot)
-            else:
-                arr = [INF] * (z + 1)
-                arr[0] = 0.0
-                tp = [arr]
-                for (s, prof, _), key in zip(kid_data, keys):
-                    pv = prof[key]
-                    nxt = [INF] * (z + 1)
-                    for m in range(z + 1):
-                        av = arr[m]
-                        if av == INF:
-                            continue
-                        for mm in range(z + 1 - m):
-                            w = pv[mm]
-                            if w == INF:
-                                continue
-                            cand = av + w
-                            if cand < nxt[m + mm]:
-                                nxt[m + mm] = cand
-                    arr = nxt
-                    tp.append(arr)
-                cnt_bag = len(cm)
-                ts = [INF] * (z + 1)
-                if bagcost < INF:
-                    for k in range(cnt_bag, z + 1):
-                        av = arr[k - cnt_bag]
-                        if av < INF:
-                            ts[k] = bagcost + av
-                kept_ts.append(ts)
-                kept_tp.append(tp)
-            kept_g.append(gamma)
-            kept_cm.append(cm)
-        recs[t] = {"ground": ground, "bag": bagset, "gammas": kept_g,
-                   "costmaps": kept_cm, "tstar": kept_ts, "tprime": kept_tp,
-                   "kids": kid_ids, "kiddata": kid_data}
-
-    root = td.root
-    rr = recs[root]
-    best = INF
-    for j, _ in enumerate(rr["gammas"]):
-        v = rr["tstar"][j] if mode == "full" else rr["tstar"][j][z]
-        if v < best:
-            best = v
+    tables = [None] * len(td.bags)
+    for t in reversed(td.topdown()):
+        tables[t] = _solve_bag(instance, td, t, tables, mode, cap)
+    best = min((m.get(z, INF) for m in tables[td.root].maps), default=INF)
     if best == INF:
-        return infeasible_result(seed, solver_name)
+        return infeasible_result(instance.seed, solver_name)
 
-    if mode == "full":
-        gstar = []
-        for t in topo:
-            rt = recs[t]
-            bj = -1
-            bv = INF
-            seen = _restrict(gstar, rt["ground"])
-            for j, gamma in enumerate(rt["gammas"]):
-                v = rt["tstar"][j]
-                if v >= bv:
-                    continue
-                if compatible(gamma, seen):
-                    bv = v
-                    bj = j
-            if bj < 0:
-                raise RuntimeError("no compatible ordering during reconstruction")
-            gstar = _merge_ordering(gstar, rt["gammas"][bj])
-        if len(gstar) != n:
-            raise RuntimeError("reconstruction did not cover every node")
-    else:
-        gstar = []
-        known = set()
-
-        def reconstruct(t, k):
-            nonlocal gstar, known
-            if k <= 0:
-                return
-            rt = recs[t]
-            s_known = rt["ground"] & known
-            want = _restrict(gstar, s_known)
-            bj = -1
-            bv = INF
-            for j, gamma in enumerate(rt["gammas"]):
-                v = rt["tstar"][j][k]
-                if v >= bv:
-                    continue
-                if compatible(gamma, want, "partial", rt["ground"], s_known):
-                    bv = v
-                    bj = j
-            if bj < 0:
-                raise RuntimeError("no compatible ordering during reconstruction")
-            gamma = rt["gammas"][bj]
-            gstar = _merge_ordering(gstar, gamma)
-            known |= rt["ground"]
-            kp = k - len(rt["costmaps"][bj])
-            tp = rt["tprime"][bj]
-            for i in range(len(rt["kids"]) - 1, -1, -1):
-                s, prof, counts = rt["kiddata"][i]
-                key = _restrict(gamma, s)
-                pv = prof[key]
-                prev = tp[i]
-                bm = -1
-                bmv = INF
-                for m in range(kp + 1):
-                    if prev[m] == INF or pv[kp - m] == INF:
-                        continue
-                    cand = prev[m] + pv[kp - m]
-                    if cand < bmv:
-                        bmv = cand
-                        bm = m
-                if bm < 0:
-                    raise RuntimeError("budget split lost during reconstruction")
-                reconstruct(rt["kids"][i], (kp - bm) + counts[key])
-                kp = bm
-            if kp != 0:
-                raise RuntimeError("budget not fully assigned")
-
-        reconstruct(root, z)
-        if len(gstar) != z:
-            raise RuntimeError("reconstruction activated the wrong number of nodes")
-
-    if gstar[0] != seed:
+    gstar = _reconstruct(td, tables, z)
+    if len(gstar) != z:
+        raise RuntimeError("reconstruction activated the wrong number of nodes")
+    if gstar[0] != instance.seed:
         raise RuntimeError("reconstructed sequence does not start at the seed")
     res = sequence_time(instance, gstar, solver=solver_name)
     if not (abs(res.total_time - best) <= 1e-9 * max(1.0, abs(best))):

@@ -1,4 +1,5 @@
-"""Property tests: the exact solvers agree, and every result is its replay.
+"""Property tests: the exact solvers agree, every result is its replay, and
+binarising integer weights shifts the optimum by the rewritten weight.
 
 Instances are small connected networks (2-7 nodes) whose weights include
 zeros, so unreachable nodes and infeasible targets are generated too.
@@ -12,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
-                       brute_force_optimal, dp_optimal, greedy_sequence,
-                       majority_sequence, sequence_time,
+                       binarize_weights, brute_force_optimal, dp_optimal,
+                       greedy_sequence, majority_sequence, sequence_time,
                        solve_full_via_decomposition, tw_full_optimal,
                        tw_partial_optimal)
 
@@ -66,15 +67,24 @@ def test_exact_solvers_agree(inst):
 @given(instances())
 def test_every_result_is_its_replay(inst):
     for r in _results(inst):
-        if not r.feasible:
-            continue
-        back = sequence_time(inst, r.sequence, solver=r.solver)
-        if r.solver != "decompose":
-            assert r == back
-            continue
-        # Block step times are taken against per-block total influences,
-        # which sum the same weights in another order, so they may differ
-        # from the replay in the last bit.
-        assert r.sequence == back.sequence
-        assert all(_close(a, b) for a, b in zip(r.step_times, back.step_times))
-        assert _close(r.total_time, back.total_time)
+        if r.feasible:
+            assert r == sequence_time(inst, r.sequence, solver=r.solver)
+
+
+@st.composite
+def integer_trees(draw):
+    n = draw(st.integers(2, 7))
+    w = st.sampled_from([1.0, 2.0])
+    edges = [(draw(st.integers(0, v - 1)), v, draw(w), draw(w))
+             for v in range(1, n)]
+    return DiffusionInstance(InfluenceNetwork(n, edges),
+                             seed=draw(st.integers(0, n - 1)), z=n)
+
+
+@given(integer_trees())
+def test_binarized_optimum_shifts_by_offset(inst):
+    # Each rewritten edge becomes a block of at most 6 nodes.
+    out, offset = binarize_weights(inst.network)
+    split = solve_full_via_decomposition(
+        DiffusionInstance(out, inst.seed, out.node_count), dp_optimal)
+    assert _close(split.total_time, dp_optimal(inst).total_time + offset)

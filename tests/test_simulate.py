@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, simulate_sequence)
@@ -62,6 +64,16 @@ def test_rejects_bad_input():
     bad = DiffusionInstance(net, 0, 3)
     with pytest.raises(ValueError):
         simulate_sequence(bad, (0, 1, 2), trials=10)
+
+
+@pytest.mark.parametrize("edges, external, problem", [
+    ([(0, 1, math.inf, 1.0)], None, "non-finite weight inf"),
+    ([(0, 1, 1.0, 1.0)], [0.0, math.nan], "non-finite external influence nan"),
+])
+def test_rejects_non_finite_instance(edges, external, problem):
+    inst = DiffusionInstance(InfluenceNetwork(2, edges, external), 0, 2)
+    with pytest.raises(ValueError, match="invalid instance: " + problem):
+        simulate_sequence(inst, (0, 1), trials=10)
 
 
 def test_as_dict_round_trip():

@@ -181,6 +181,43 @@ def test_tw_full_single_bag():
                - dp_optimal(inst).total_time) <= 1e-9
 
 
+def star_of_paths():
+    """Centre 0 with the paths 0-1-2, 0-3-4 and 0-5-6; random weights."""
+    rng = random.Random(5)
+    return InfluenceNetwork(7, [(u, v, rng.uniform(0.5, 2), rng.uniform(0.5, 2))
+                                for u, v in [(0, 1), (1, 2), (0, 3), (3, 4),
+                                             (0, 5), (5, 6)]])
+
+
+# The centre bag {0} is bag 3, the root, and has three children.
+STAR_TD = TreeDecomposition(
+    bags=[{0, 1}, {1, 2}, {0, 3}, {0}, {3, 4}, {0, 5}, {5, 6}],
+    edges=[(3, 0), (0, 1), (3, 2), (2, 4), (3, 5), (5, 6)], root=3)
+
+
+@pytest.mark.parametrize("td, seed", [
+    (STAR_TD, 0),
+    (STAR_TD, 2),
+    (TreeDecomposition(STAR_TD.bags, STAR_TD.edges, root=4), 6),
+    (TreeDecomposition(bags=[range(7)]), 0),
+    (TreeDecomposition(bags=[range(7)]), 4),
+], ids=["star-seed-centre", "star-seed-leaf", "star-leaf-root",
+        "one-bag-centre", "one-bag-leaf"])
+def test_tw_hand_built_decompositions_every_z(td, seed):
+    net = star_of_paths()
+    assert validate_decomposition(net, td) == []
+    for z in range(1, net.node_count + 1):
+        inst = DiffusionInstance(net, seed, z)
+        results = [tw_partial_optimal(inst, td)]
+        if z == net.node_count:
+            results.append(tw_full_optimal(inst, td))
+        want = dp_optimal(inst).total_time
+        for r in results:
+            assert len(r.sequence) == z
+            assert abs(r.total_time - want) <= 1e-9
+            assert r == sequence_time(inst, r.sequence, solver=r.solver)
+
+
 def test_tw_full_requires_full_target():
     net = path_net(4)
     with pytest.raises(ValueError):
