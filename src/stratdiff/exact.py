@@ -12,15 +12,22 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 from .network import (DiffusionInstance, SizeGuardError, SolveResult,
-                      _step_time_masked, check_instance, infeasible_result,
-                      sequence_time)
+                      _step_time_masked, _step_times_masked, check_instance,
+                      infeasible_result, sequence_time)
 
 INF = math.inf
 
 DP_NODE_CAP = 28
 DP_CAP_ENV = "SD_MAX_DP_NODES"
 BRUTE_NODE_CAP = 10
+# dp_optimal's numpy kernel runs for node counts in this range: below it the
+# dict loop is faster (crossover measured on random_connected(n, 0.3), full
+# z; see CHANGES.md), above it int64 masks would overflow
+DP_VECTOR_MIN_NODES = 12
+DP_VECTOR_MAX_NODES = 62
 
 
 def brute_force_optimal(instance: DiffusionInstance, *,
@@ -76,29 +83,48 @@ def dp_optimal(instance: DiffusionInstance, *,
     """Subset dynamic program, exact for any z.
 
     States are activated node sets encoded as bitmasks, processed layer by
-    layer on set size; only the current and next layer of times stay in
-    memory, plus one predecessor map per layer for sequence reconstruction.
-    States with infinite time are never stored.  O(2^n) memory; refuses
-    node_count above the cap (default 28, override with max_nodes or the
-    SD_MAX_DP_NODES environment variable).
+    layer on set size.  Only states reachable with finite time are stored,
+    so memory scales with the reachable states, not with 2^n; each layer
+    keeps its states and their last activated node for the reconstruction.
+    Two kernels give the same answer: a Python loop over a dict of masks,
+    and a numpy kernel over sorted int64 arrays of masks.  The numpy kernel
+    runs for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES
+    (below the measured crossover its per-layer overhead loses; above the
+    top, int64 masks would overflow).  Refuses node_count above the cap
+    (default 28, override with max_nodes or the SD_MAX_DP_NODES environment
+    variable).
     """
     check_instance(instance)
-    net = instance.network
-    n = net.node_count
+    n = instance.network.node_count
     cap = max_nodes if max_nodes is not None else \
         int(os.environ.get(DP_CAP_ENV, DP_NODE_CAP))
     if n > cap:
         raise SizeGuardError(
             f"subset DP refused for n={n} > cap {cap}; raise the cap to override")
 
-    z = instance.z
+    vector = DP_VECTOR_MIN_NODES <= n <= DP_VECTOR_MAX_NODES
+    seq = (_dp_layers if vector else _dp_dict)(instance)
+    if seq is None:
+        return infeasible_result(instance.seed, "dp")
+    return sequence_time(instance, seq, solver="dp")
+
+
+def _dp_dict(instance: DiffusionInstance):
+    """Push DP over a dict of masks; the optimal sequence, or None.
+
+    Masks are pushed in ascending order and nodes tried in ascending order,
+    with strict improvement: among tied predecessors the first pushed (the
+    largest last node) wins, and the smallest tied final mask is read.
+    """
+    net = instance.network
+    n = net.node_count
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
     nbr = net._neighbor_mask
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
 
-    for _ in range(z - 1):
+    for _ in range(instance.z - 1):
         nxt = {}
         pred = {}
         for mask in sorted(times):
@@ -117,7 +143,7 @@ def dp_optimal(instance: DiffusionInstance, *,
                     nxt[new] = cand
                     pred[new] = i
         if not nxt:
-            return infeasible_result(seed, "dp")
+            return None
         times = nxt
         preds.append(pred)
 
@@ -131,8 +157,65 @@ def dp_optimal(instance: DiffusionInstance, *,
 
     rev = []
     mask = best_mask
-    for k in range(z, 1, -1):
+    for k in range(instance.z, 1, -1):
         i = preds[k][mask]
         rev.append(i)
         mask ^= 1 << i
-    return sequence_time(instance, [seed] + rev[::-1], solver="dp")
+    return [seed] + rev[::-1]
+
+
+def _dp_layers(instance: DiffusionInstance):
+    """Layered DP over sorted int64 arrays of masks; _dp_dict's answer.
+
+    Each layer holds only its reachable masks.  A new mask's time is the
+    least, over its members i, of its predecessor's time plus i's step time,
+    taken in ascending i with ties going to the later i; the final layer's
+    first least time picks the smallest mask.  Both rules reproduce the
+    push order of _dp_dict, and the additions are the same, so the answers
+    are identical.
+    """
+    net = instance.network
+    n = net.node_count
+    seed = instance.seed
+    alpha, beta = instance.alpha, instance.beta
+    nbr = np.array(net._neighbor_mask, dtype=np.int64)
+    masks = np.array([1 << seed], dtype=np.int64)
+    times = np.zeros(1)
+    layers = []  # per layer after the seed's: (masks, last activated node)
+
+    for _ in range(instance.z - 1):
+        # per node i, the masks it can join: i inactive, a neighbour active
+        grow = [((masks & (1 << i)) == 0) & ((masks & nbr[i]) != 0)
+                for i in range(n)]
+        new = np.empty(sum(map(np.count_nonzero, grow)), dtype=np.int64)
+        lo = 0
+        for i, g in enumerate(grow):
+            part = masks[g] | (1 << i)
+            new[lo:lo + part.size] = part
+            lo += part.size
+        new.sort()  # then keep each distinct mask once
+        first = np.ones(new.size, dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=first[1:])
+        new = new[first]
+        best = np.full(new.size, INF)
+        pred = np.zeros(new.size, dtype=np.int8)
+        for i, g in enumerate(grow):
+            prev = masks[g]
+            at = np.searchsorted(new, prev | (1 << i))
+            cand = times[g] + _step_times_masked(net, prev, i, alpha, beta)
+            win = cand <= best[at]
+            best[at[win]] = cand[win]
+            pred[at[win]] = i
+        keep = best < INF
+        if not keep.any():
+            return None
+        masks, times = new[keep], best[keep]
+        layers.append((masks, pred[keep]))
+
+    mask = int(masks[np.argmin(times)])
+    rev = []
+    for layer_masks, layer_pred in reversed(layers):
+        i = int(layer_pred[np.searchsorted(layer_masks, mask)])
+        rev.append(i)
+        mask ^= 1 << i
+    return [seed] + rev[::-1]

@@ -22,6 +22,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 INF = math.inf
 
 
@@ -173,8 +175,11 @@ class SolveResult:
     """An activation sequence with its per-step expected times.
 
     sequence starts at the seed; step_times aligns with it (seed step is 0).
-    total_time is the running sum of step_times.  An infeasible outcome is
-    encoded as sequence=(seed,), step_times=(0.0,), total_time=inf.
+    total_time is the running sum of step_times.  Infeasibility has two
+    shapes, on purpose: a solver that finds no feasible sequence returns
+    sequence=(seed,), step_times=(0.0,), total_time=inf, while
+    sequence_time scores the whole sequence it was given, an unactivatable
+    step as inf, and reports total_time=inf.
     """
 
     sequence: tuple
@@ -239,6 +244,35 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
     return ratio
 
 
+def _step_times_masked(net: InfluenceNetwork, masks, i: int,
+                       alpha: float, beta: float):
+    """Array form of _step_time_masked over an int64 array of active masks.
+
+    Every element equals the scalar result bit for bit: the active in-weight
+    is summed in the same ascending-j order (an inactive neighbour adds an
+    exact 0.0), and the power is taken by Python's ``**`` on each distinct
+    ratio, because numpy's vectorised pow can differ from it in the last bit.
+    """
+    w = net.total_influence[i]
+    if w <= 0.0:
+        return np.full(masks.shape, INF)
+    s = np.zeros(masks.shape)
+    for j, wji in net._incoming[i]:
+        s += wji * ((masks >> j) & 1)
+    dead = s <= 0.0
+    np.minimum(s, w, out=s)  # float summation order can overshoot by an ulp
+    with np.errstate(divide="ignore"):
+        ratio = w / s
+    if alpha != 1.0:
+        uniq, inv = np.unique(ratio, return_inverse=True)
+        ratio = np.array([r ** alpha for r in uniq.tolist()])[inv]
+    if beta != 1.0:
+        ratio = ratio / beta
+    # after the power: inf ** 0.0 is 1.0
+    ratio[dead] = INF
+    return ratio
+
+
 def activation_probability(net: InfluenceNetwork, active, i: int,
                            alpha: float = 1.0, beta: float = 1.0) -> float:
     """Probability that i activates in one step given the active set."""
@@ -261,9 +295,11 @@ def sequence_time(instance: DiffusionInstance, sequence,
                   solver: str = "sequence") -> SolveResult:
     """Evaluate a fixed activation sequence under the instance's model.
 
-    The active set grows prefix by prefix; an unactivatable step makes the
-    total infinite but later steps are still evaluated against the grown set.
-    The instance is not validated here: callers run check_instance first.
+    The active set grows prefix by prefix; an unactivatable step costs inf,
+    making the total infinite, but later steps are still evaluated against
+    the grown set, so an infeasible result keeps the whole sequence (unlike
+    a solver's, which is (seed,) with total inf).  The instance is not
+    validated here: callers run check_instance first.
     """
     net = instance.network
     seq = tuple(map(int, sequence))

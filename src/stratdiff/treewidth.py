@@ -100,9 +100,12 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
     if not (0 <= td.root < nb):
         out.append(f"root {td.root} out of range")
         return out
+    holding = [[] for _ in range(net.node_count)]  # node -> its bags, ascending
     for i, bag in enumerate(td.bags):
         for v in bag:
-            if not (0 <= v < net.node_count):
+            if 0 <= v < net.node_count:
+                holding[v].append(i)
+            else:
                 out.append(f"bag {i} contains unknown node {v}")
     for a, b in td.edges:
         if not (0 <= a < nb and 0 <= b < nb):
@@ -126,30 +129,26 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
     if len(seen) != nb:
         out.append("tree edges do not connect all bags")
 
-    covered = set()
-    for bag in td.bags:
-        covered |= bag
     for v in range(net.node_count):
-        if v not in covered:
+        if not holding[v]:
             out.append(f"node {v} appears in no bag")
     for u, v, _, _ in net.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if set(holding[u]).isdisjoint(holding[v]):
             out.append(f"edge ({u}, {v}) is covered by no bag")
 
-    for v in range(net.node_count):
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        if len(holding) <= 1:
+    for v, bags in enumerate(holding):
+        if len(bags) <= 1:
             continue
-        hold = set(holding)
-        comp = {holding[0]}
-        stack = [holding[0]]
+        hold = set(bags)
+        comp = {bags[0]}
+        stack = [bags[0]]
         while stack:
             t = stack.pop()
             for w in adj[t]:
                 if w in hold and w not in comp:
                     comp.add(w)
                     stack.append(w)
-        if len(comp) != len(holding):
+        if len(comp) != len(bags):
             out.append(f"bags containing node {v} are not connected in the tree")
     return out
 

@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from stratdiff import DiffusionInstance, InfluenceNetwork
+from stratdiff import (DiffusionInstance, InfluenceNetwork, infeasible_result,
+                       sequence_time)
 
 
 def connected_unit_graphs(max_n):
@@ -122,3 +123,11 @@ def star_net(leaves):
 
 def full_instance(net, seed=0, **kw):
     return DiffusionInstance(network=net, seed=seed, z=net.node_count, **kw)
+
+
+def dp_kernel_result(kernel, inst):
+    """The SolveResult dp_optimal builds from one kernel's sequence."""
+    seq = kernel(inst)
+    if seq is None:
+        return infeasible_result(inst.seed, "dp")
+    return sequence_time(inst, seq, solver="dp")

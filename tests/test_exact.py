@@ -1,14 +1,16 @@
 import math
-import os
 import random
+import tracemalloc
 
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
                        brute_force_optimal, dp_optimal, greedy_sequence,
                        majority_sequence, make_gk, make_np_hardness,
-                       sequence_time, SetCoverInstance)
-from helpers import full_instance, path_net, random_weighted_net, star_net
+                       random_connected, sequence_time, SetCoverInstance)
+from stratdiff import exact
+from helpers import (dp_kernel_result, full_instance, path_net,
+                     random_weighted_net, star_net)
 
 INF = math.inf
 
@@ -128,3 +130,57 @@ def test_determinism():
     b = dp_optimal(inst)
     assert a == b
     assert brute_force_optimal(inst) == brute_force_optimal(inst)
+
+
+@pytest.mark.parametrize("n, seed, alpha, beta, weights", [
+    (12, 0, 0.0, 0.5, dict(integer_weights=True, weight_range=(0, 2))),
+    (13, 5, 0.5, 1.0, {}),
+    (14, 3, 0.0, 1.0, {}),
+    (15, 7, 1.0, 0.6, {}),
+])
+def test_dp_kernels_agree_mid_size(n, seed, alpha, beta, weights):
+    net = random_connected(n, 0.3, rng_seed=n, **weights)
+    for z in range(1, n + 1):
+        inst = DiffusionInstance(net, seed, z, alpha, beta)
+        want = dp_kernel_result(exact._dp_dict, inst)
+        assert dp_kernel_result(exact._dp_layers, inst) == want, z
+        assert dp_optimal(inst) == want, z
+
+
+def test_dp_kernels_agree_when_unreachable():
+    # two 6-node paths with no edge between them: z > 6 is infeasible
+    net = InfluenceNetwork(12, [(i, i + 1, 1.0, 1.0) for i in range(11)
+                                if i != 5])
+    for z in range(1, 13):
+        inst = DiffusionInstance(net, 2, z)
+        want = dp_kernel_result(exact._dp_dict, inst)
+        assert dp_kernel_result(exact._dp_layers, inst) == want, z
+        assert dp_optimal(inst) == want, z
+        assert want.feasible == (z <= 6)
+
+
+def _refuse(instance):
+    raise AssertionError("wrong DP kernel for this node count")
+
+
+@pytest.mark.parametrize("n, kernel", [(11, "_dp_dict"), (12, "_dp_layers"),
+                                       (62, "_dp_layers"), (70, "_dp_dict")])
+def test_dp_kernel_follows_node_count(monkeypatch, n, kernel):
+    # int64 masks cannot hold more than 62 nodes' bits safely
+    other = "_dp_layers" if kernel == "_dp_dict" else "_dp_dict"
+    monkeypatch.setattr(exact, other, _refuse)
+    res = dp_optimal(full_instance(path_net(n)), max_nodes=n)
+    assert res.total_time == 2.0 * (n - 2) + 1.0
+    assert res.sequence == tuple(range(n))
+
+
+def test_dp_memory_follows_reachable_states():
+    # a path has one reachable state per layer; a dense 2^28 table would not fit
+    inst = full_instance(path_net(28))
+    tracemalloc.start()
+    try:
+        dp_optimal(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
@@ -11,6 +12,7 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, validate,
                        validate_instance)
+from stratdiff.network import _step_time_masked, _step_times_masked
 from helpers import path_net, random_weighted_net
 
 INF = math.inf
@@ -254,3 +256,30 @@ def test_additivity_is_exact():
         for s in res.step_times:
             total += s
         assert total == res.total_time
+
+
+def _six_node_nets():
+    rng = random.Random(17)
+    pick = lambda: rng.choice([0.0, 1.0, rng.uniform(0.1, 3.0)])  # noqa: E731
+    for _ in range(4):
+        edges = [(u, v, pick(), pick()) for u in range(6)
+                 for v in range(u + 1, 6) if rng.random() < 0.6]
+        yield InfluenceNetwork(6, edges, [rng.choice([0.0, 0.5])
+                                          for _ in range(6)])
+    # node 5 has zero total influence; nodes 1 and 2 only see zero weights
+    yield InfluenceNetwork(6, [(0, 1, 0.0, 1.0), (0, 2, 0.0, 2.0),
+                               (1, 2, 0.0, 0.0), (2, 3, 1.0, 0.5),
+                               (3, 4, 0.7, 0.3), (4, 5, 0.0, 1.0)])
+
+
+def test_step_times_masked_equals_scalar_kernel():
+    masks = np.arange(1 << 6, dtype=np.int64)
+    for net in _six_node_nets():
+        # numpy's own pow differs from Python's in the last bit at 0.3
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            for beta in (0.5, 1.0):
+                for i in range(6):
+                    got = _step_times_masked(net, masks, i, alpha, beta)
+                    want = [_step_time_masked(net, m, i, alpha, beta)
+                            for m in range(1 << 6)]
+                    assert got.tolist() == want, (net.edges, i, alpha, beta)

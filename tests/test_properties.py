@@ -1,10 +1,12 @@
-"""Property tests: the exact solvers agree, every result is its replay, and
-binarising integer weights shifts the optimum by the rewritten weight.
+"""Property tests: the exact solvers agree, every result is its replay,
+the two subset-DP kernels give identical results, and binarising integer
+weights shifts the optimum by the rewritten weight.
 
-Instances are small connected networks (2-7 nodes) whose weights include
+Instances are small connected networks (2-8 nodes) whose weights include
 zeros, so unreachable nodes and infeasible targets are generated too.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +19,8 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
                        greedy_sequence, majority_sequence, sequence_time,
                        solve_full_via_decomposition, tw_full_optimal,
                        tw_partial_optimal)
+from stratdiff import exact  # noqa: E402
+from helpers import dp_kernel_result  # noqa: E402
 
 WEIGHT = st.one_of(st.just(0.0), st.just(1.0),
                    st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False))
@@ -24,7 +28,7 @@ WEIGHT = st.one_of(st.just(0.0), st.just(1.0),
 
 @st.composite
 def instances(draw):
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 8))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     others = [(u, v) for u in range(n) for v in range(u + 1, n)
               if (u, v) not in pairs]
@@ -69,6 +73,14 @@ def test_every_result_is_its_replay(inst):
     for r in _results(inst):
         if r.feasible:
             assert r == sequence_time(inst, r.sequence, solver=r.solver)
+
+
+@given(instances(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_dp_kernels_agree(inst, alpha):
+    for z in range(1, inst.network.node_count + 1):
+        sub = dataclasses.replace(inst, z=z, alpha=alpha)
+        assert (dp_kernel_result(exact._dp_layers, sub)
+                == dp_kernel_result(exact._dp_dict, sub)), sub
 
 
 @st.composite
