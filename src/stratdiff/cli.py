@@ -37,11 +37,11 @@ def _write_json(payload: dict, out):
 def _load_instance_with_overrides(args) -> network.DiffusionInstance:
     inst = network.load_instance(args.instance)
     fields = {}
-    if getattr(args, "z", None) is not None:
+    if args.z is not None:
         fields["z"] = args.z
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         fields["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         fields["beta"] = args.beta
     if fields:
         inst = dataclasses.replace(inst, **fields)
@@ -57,38 +57,28 @@ def _gk_k_of(inst) -> int:
     return k
 
 
-def _tw(fn):
-    def run(inst, args, force):
-        td = treewidth.load_td(args.td) if getattr(args, "td", None) else None
-        return fn(inst, td, cap=10 ** 9 if force else treewidth.GROUND_CAP)
-    return run
-
-
-def _dp_cap(inst, force):
-    return inst.network.node_count if force else None
-
-
-# name -> fn(instance, parsed args, force); --solver offers the keys
+# name -> fn(instance, td or None, force); --solver offers the keys
 SOLVERS = {
-    "brute": lambda inst, args, force: brute_force_optimal(inst, force=force),
-    "dp": lambda inst, args, force: dp_optimal(
-        inst, max_nodes=_dp_cap(inst, force)),
-    "greedy": lambda inst, args, force: heuristics.greedy_sequence(inst),
-    "majority": lambda inst, args, force: heuristics.majority_sequence(inst),
-    "strategy-a": lambda inst, args, force: heuristics.strategy_a_gk(
+    "brute": lambda inst, td, force: brute_force_optimal(inst, force=force),
+    "dp": lambda inst, td, force: dp_optimal(inst, force=force),
+    "greedy": lambda inst, td, force: heuristics.greedy_sequence(inst),
+    "majority": lambda inst, td, force: heuristics.majority_sequence(inst),
+    "strategy-a": lambda inst, td, force: heuristics.strategy_a_gk(
         _gk_k_of(inst), inst),
-    "tw-full": _tw(treewidth.tw_full_optimal),
-    "tw-partial": _tw(treewidth.tw_partial_optimal),
-    "decompose": lambda inst, args, force: solve_full_via_decomposition(
-        inst, lambda sub: dp_optimal(sub, max_nodes=_dp_cap(inst, force))),
+    "tw-full": lambda inst, td, force: treewidth.tw_full_optimal(
+        inst, td, force=force),
+    "tw-partial": lambda inst, td, force: treewidth.tw_partial_optimal(
+        inst, td, force=force),
+    "decompose": lambda inst, td, force: solve_full_via_decomposition(
+        inst, lambda sub: dp_optimal(sub, force=force)),
 }
 
 
 def _run_solver(inst, args):
-    force = getattr(args, "force", False)
-    if force:
+    if args.force:
         print("warning: size guards disabled", file=sys.stderr)
-    return SOLVERS[args.solver](inst, args, force)
+    td = treewidth.load_td(args.td) if args.td else None
+    return SOLVERS[args.solver](inst, td, args.force)
 
 
 def cmd_solve(args) -> int:
@@ -229,17 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal and heuristic activation sequences for "
                     "strategic network diffusion.")
     sub = p.add_subparsers(dest="command", required=True)
+    # flags shared by the subcommands that read an instance file
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--z", type=int, help="override the activation target")
+    model.add_argument("--alpha", type=float, help="override alpha")
+    model.add_argument("--beta", type=float, help="override beta")
+    model.add_argument("--out", help="write the result JSON here")
+    solving = argparse.ArgumentParser(add_help=False, parents=[model])
+    solving.add_argument("--td", help="tree decomposition file (tw-* solvers)")
+    solving.add_argument("--force", action="store_true",
+                         help="disable size guards (may exhaust memory)")
 
-    ps = sub.add_parser("solve", help="run a solver on an instance file")
+    ps = sub.add_parser("solve", parents=[solving],
+                        help="run a solver on an instance file")
     ps.add_argument("instance")
     ps.add_argument("--solver", choices=SOLVERS, default="dp")
-    ps.add_argument("--td", help="tree decomposition file (tw-* solvers)")
-    ps.add_argument("--z", type=int, help="override the activation target")
-    ps.add_argument("--alpha", type=float, help="override alpha")
-    ps.add_argument("--beta", type=float, help="override beta")
-    ps.add_argument("--out", help="write the result JSON here")
-    ps.add_argument("--force", action="store_true",
-                    help="disable size guards (may take forever)")
     ps.set_defaults(fn=cmd_solve)
 
     pg = sub.add_parser("generate", help="write an instance file")
@@ -272,28 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", help="write CSV here instead of stdout")
     pc.set_defaults(fn=cmd_compare)
 
-    pm = sub.add_parser("simulate", help="Monte Carlo check of a sequence")
+    pm = sub.add_parser("simulate", parents=[solving],
+                        help="Monte Carlo check of a sequence")
     pm.add_argument("instance")
     pm.add_argument("--trials", type=int, default=10000)
     pm.add_argument("--rng-seed", type=int, default=0)
     pm.add_argument("--sequence", help="comma-separated node ids")
     pm.add_argument("--solver", choices=SOLVERS, default="dp",
                     help="solver to produce the sequence when none is given")
-    pm.add_argument("--td")
-    pm.add_argument("--z", type=int)
-    pm.add_argument("--alpha", type=float)
-    pm.add_argument("--beta", type=float)
-    pm.add_argument("--out")
-    pm.add_argument("--force", action="store_true")
     pm.set_defaults(fn=cmd_simulate)
 
-    pd = sub.add_parser("decompose",
+    pd = sub.add_parser("decompose", parents=[model],
                         help="blocks, cut nodes and per-block subinstances")
     pd.add_argument("instance")
-    pd.add_argument("--z", type=int)
-    pd.add_argument("--alpha", type=float)
-    pd.add_argument("--beta", type=float)
-    pd.add_argument("--out")
     pd.set_defaults(fn=cmd_decompose)
     return p
 

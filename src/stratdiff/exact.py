@@ -10,7 +10,6 @@ and is exact for moderate n.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -20,9 +19,13 @@ from .network import (DiffusionInstance, SizeGuardError, SolveResult,
 
 INF = math.inf
 
-DP_NODE_CAP = 28
-DP_CAP_ENV = "SD_MAX_DP_NODES"
 BRUTE_NODE_CAP = 10
+# dp_optimal refuses a layer whose estimated memory passes this many bytes
+DP_MEMORY_BUDGET = 1 << 30
+# Bytes per state (a layer's candidates plus the states kept so far), from
+# tracemalloc peaks of random_connected(n, 0.3) solves; see CHANGES.md
+_ARRAY_BYTES_PER_STATE = 16
+_DICT_BYTES_PER_STATE = 75
 # dp_optimal's numpy kernel runs for node counts in this range: below it the
 # dict loop is faster (crossover measured on random_connected(n, 0.3), full
 # z; see CHANGES.md), above it int64 masks would overflow
@@ -42,7 +45,8 @@ def brute_force_optimal(instance: DiffusionInstance, *,
     n = net.node_count
     if n > BRUTE_NODE_CAP and not force:
         raise SizeGuardError(
-            f"brute force refused for n={n} > {BRUTE_NODE_CAP}; pass force=True")
+            f"brute force refused for n={n} > {BRUTE_NODE_CAP}: up to "
+            f"{n - 1}! sequences; pass force=True")
 
     z = instance.z
     seed = instance.seed
@@ -79,7 +83,7 @@ def brute_force_optimal(instance: DiffusionInstance, *,
 
 
 def dp_optimal(instance: DiffusionInstance, *,
-               max_nodes: int | None = None) -> SolveResult:
+               force: bool = False) -> SolveResult:
     """Subset dynamic program, exact for any z.
 
     States are activated node sets encoded as bitmasks, processed layer by
@@ -90,26 +94,37 @@ def dp_optimal(instance: DiffusionInstance, *,
     and a numpy kernel over sorted int64 arrays of masks.  The numpy kernel
     runs for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES
     (below the measured crossover its per-layer overhead loses; above the
-    top, int64 masks would overflow).  Refuses node_count above the cap
-    (default 28, override with max_nodes or the SD_MAX_DP_NODES environment
-    variable).
+    top, int64 masks would overflow).  Before building each layer, either
+    kernel estimates its memory from the layer's candidate states and the
+    states kept so far, and raises SizeGuardError when the estimate passes
+    DP_MEMORY_BUDGET, unless force=True.
     """
     check_instance(instance)
     n = instance.network.node_count
-    cap = max_nodes if max_nodes is not None else \
-        int(os.environ.get(DP_CAP_ENV, DP_NODE_CAP))
-    if n > cap:
-        raise SizeGuardError(
-            f"subset DP refused for n={n} > cap {cap}; raise the cap to override")
-
     vector = DP_VECTOR_MIN_NODES <= n <= DP_VECTOR_MAX_NODES
-    seq = (_dp_layers if vector else _dp_dict)(instance)
+    seq = (_dp_layers if vector else _dp_dict)(instance, force)
     if seq is None:
         return infeasible_result(instance.seed, "dp")
     return sequence_time(instance, seq, solver="dp")
 
 
-def _dp_dict(instance: DiffusionInstance):
+def _check_layer(layer, candidates, kept, bytes_per_state, force):
+    """Refuse to build a DP layer whose estimated memory passes the budget.
+
+    layer is the size of the active sets it would hold; candidates bounds
+    its states before deduplication, kept counts the states of the layers
+    held for the reconstruction.
+    """
+    need = bytes_per_state * (candidates + kept)
+    if need > DP_MEMORY_BUDGET and not force:
+        raise SizeGuardError(
+            f"subset DP refused at layer {layer}: {candidates:,} candidate "
+            f"states plus {kept:,} kept need about {need / 2**20:,.0f} MiB, "
+            f"over the {DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget; "
+            f"pass force=True")
+
+
+def _dp_dict(instance: DiffusionInstance, force: bool = False):
     """Push DP over a dict of masks; the optimal sequence, or None.
 
     Masks are pushed in ascending order and nodes tried in ascending order,
@@ -123,8 +138,11 @@ def _dp_dict(instance: DiffusionInstance):
     nbr = net._neighbor_mask
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
+    kept = 1
 
-    for _ in range(instance.z - 1):
+    for layer in range(2, instance.z + 1):
+        _check_layer(layer, len(times) * (n - layer + 1), kept,
+                     _DICT_BYTES_PER_STATE, force)
         nxt = {}
         pred = {}
         for mask in sorted(times):
@@ -146,6 +164,7 @@ def _dp_dict(instance: DiffusionInstance):
             return None
         times = nxt
         preds.append(pred)
+        kept += len(nxt)
 
     best_mask = None
     best_total = INF
@@ -164,7 +183,7 @@ def _dp_dict(instance: DiffusionInstance):
     return [seed] + rev[::-1]
 
 
-def _dp_layers(instance: DiffusionInstance):
+def _dp_layers(instance: DiffusionInstance, force: bool = False):
     """Layered DP over sorted int64 arrays of masks; _dp_dict's answer.
 
     Each layer holds only its reachable masks.  A new mask's time is the
@@ -182,12 +201,15 @@ def _dp_layers(instance: DiffusionInstance):
     masks = np.array([1 << seed], dtype=np.int64)
     times = np.zeros(1)
     layers = []  # per layer after the seed's: (masks, last activated node)
+    kept = 1
 
-    for _ in range(instance.z - 1):
+    for layer in range(2, instance.z + 1):
         # per node i, the masks it can join: i inactive, a neighbour active
         grow = [((masks & (1 << i)) == 0) & ((masks & nbr[i]) != 0)
                 for i in range(n)]
-        new = np.empty(sum(map(np.count_nonzero, grow)), dtype=np.int64)
+        count = sum(map(np.count_nonzero, grow))
+        _check_layer(layer, count, kept, _ARRAY_BYTES_PER_STATE, force)
+        new = np.empty(count, dtype=np.int64)
         lo = 0
         for i, g in enumerate(grow):
             part = masks[g] | (1 << i)
@@ -211,6 +233,7 @@ def _dp_layers(instance: DiffusionInstance):
             return None
         masks, times = new[keep], best[keep]
         layers.append((masks, pred[keep]))
+        kept += masks.size
 
     mask = int(masks[np.argmin(times)])
     rev = []

@@ -21,11 +21,7 @@ def _run(instance: DiffusionInstance, pick, name, rng):
     check_instance(instance)
     net = instance.network
     n = net.node_count
-    # The order is chosen step by step from the candidates' step times, so
-    # those are kept as they come rather than replayed through sequence_time.
     seq = [instance.seed]
-    steps = [0.0]
-    total = 0.0
     mask = 1 << instance.seed
     for _ in range(instance.z - 1):
         cands = []
@@ -41,13 +37,9 @@ def _run(instance: DiffusionInstance, pick, name, rng):
         best = max(score.values())
         tied = [i for i, _ in cands if score[i] == best]
         choice = tied[0] if rng is None else rng.choice(tied)
-        st = dict(cands)[choice]
         seq.append(choice)
-        steps.append(st)
-        total += st
         mask |= 1 << choice
-    return SolveResult(sequence=tuple(seq), total_time=total,
-                       step_times=tuple(steps), solver=name)
+    return sequence_time(instance, seq, solver=name)
 
 
 def greedy_sequence(instance: DiffusionInstance, *, rng=None) -> SolveResult:
@@ -89,5 +81,4 @@ def strategy_a_gk(k: int, instance: DiffusionInstance | None = None) -> SolveRes
     seq = ([0] + list(range(1, k + 1))
            + list(range(kk + 1, kk + k))
            + list(range(k + 1, kk + 1)))
-    res = sequence_time(instance, seq, solver="strategy-a")
-    return res
+    return sequence_time(instance, seq, solver="strategy-a")

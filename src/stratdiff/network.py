@@ -124,21 +124,6 @@ class InfluenceNetwork:
     def neighbors(self, i: int):
         return tuple(j for j, _ in self._incoming[i])
 
-    def is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            m = self._neighbor_mask[v] & ~seen
-            seen |= m
-            while m:
-                low = m & -m
-                stack.append(low.bit_length() - 1)
-                m ^= low
-        return seen == (1 << self.node_count) - 1
-
     def __eq__(self, other):
         if not isinstance(other, InfluenceNetwork):
             return NotImplemented
@@ -224,6 +209,8 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
 
     Unactivatable nodes (zero active influence, or zero total influence)
     map to inf, matching the division-by-zero convention of the model.
+    Weights must be validated (finite, nonnegative): s then sums a subset
+    of w's terms in w's order, and rounding is monotone, so s <= w.
     """
     w = net.total_influence[i]
     if w <= 0.0:
@@ -234,8 +221,6 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
             s += wji
     if s <= 0.0:
         return INF
-    if s > w:  # float summation order can overshoot by an ulp
-        s = w
     ratio = w / s
     if alpha != 1.0:
         ratio = ratio ** alpha
@@ -260,7 +245,6 @@ def _step_times_masked(net: InfluenceNetwork, masks, i: int,
     for j, wji in net._incoming[i]:
         s += wji * ((masks >> j) & 1)
     dead = s <= 0.0
-    np.minimum(s, w, out=s)  # float summation order can overshoot by an ulp
     with np.errstate(divide="ignore"):
         ratio = w / s
     if alpha != 1.0:
@@ -281,7 +265,13 @@ def activation_probability(net: InfluenceNetwork, active, i: int,
 
 def expected_step_time(net: InfluenceNetwork, active, i: int,
                        alpha: float = 1.0, beta: float = 1.0) -> float:
-    """Expected steps until i activates: 1/p, or inf when p = 0."""
+    """Expected steps until i activates: 1/p, or inf when p = 0.
+
+    Raises ValueError when validate(net) reports a problem.
+    """
+    problems = validate(net)
+    if problems:
+        raise ValueError("invalid network: " + "; ".join(problems))
     mask = active if isinstance(active, int) else mask_of(active)
     if (mask >> i) & 1:
         raise ValueError(f"node {i} is already active")

@@ -12,7 +12,8 @@ are spliced into one global sequence.
 
 tw_partial_optimal orders subsequences of each ground and reads the root
 at k = z.  tw_full_optimal orders permutations, so every map has the
-single entry k = subtree size, read at k = n.
+single entry k = subtree size, read at k = n.  Both refuse a ground of
+g > GROUND_CAP nodes, on the order of g! orderings, unless force=True.
 """
 
 from __future__ import annotations
@@ -300,11 +301,10 @@ def compatible(gamma, gamma_p, mode: str = "full", ground=None, ground_p=None):
     other (while visible to both) is a disagreement.
     """
     if mode == "full":
-        common = set(gamma) & set(gamma_p)
-        return _restrict(gamma, common) == _restrict(gamma_p, common)
-    if mode != "partial":
+        ground, ground_p = gamma, gamma_p
+    elif mode != "partial":
         raise ValueError(f"unknown mode {mode!r}")
-    if ground is None or ground_p is None:
+    elif ground is None or ground_p is None:
         raise ValueError("partial compatibility needs both ground sets")
     common = set(ground) & set(ground_p)
     return _restrict(gamma, common) == _restrict(gamma_p, common)
@@ -318,12 +318,14 @@ def bag_ground(net: InfluenceNetwork, bag) -> frozenset:
     return frozenset(g)
 
 
-def _checked_ground(net, bag, cap):
+def _checked_ground(net, bag, force):
     ground = bag_ground(net, bag)
-    if len(ground) > cap:
+    g = len(ground)
+    if g > GROUND_CAP and not force:
         raise SizeGuardError(
-            f"bag {sorted(bag)} has a closed neighborhood of {len(ground)} "
-            f"nodes, above cap {cap}")
+            f"bag {sorted(bag)} has a closed neighborhood of {g} nodes, "
+            f"above {GROUND_CAP}: on the order of {g}! orderings to "
+            f"enumerate; pass force=True")
     return ground
 
 
@@ -384,17 +386,17 @@ def _orderings(net, bag, ground, seed, mode, kids=()):
 
 
 def enumerate_admissible(bag, instance: DiffusionInstance, children=(),
-                         mode: str = "full", cap: int = GROUND_CAP):
+                         mode: str = "full"):
     """Admissible orderings of a bag's ground set.
 
     children is an iterable of (ground, orderings) pairs for already-solved
     child bags; an ordering survives only if every child offers a
-    compatible one.  Refuses ground sets larger than cap.
+    compatible one.  Refuses ground sets larger than GROUND_CAP.
     """
     if mode not in ("full", "partial"):
         raise ValueError(f"unknown mode {mode!r}")
     net = instance.network
-    ground = _checked_ground(net, bag, cap)
+    ground = _checked_ground(net, bag, False)
     kids = []
     for ground_c, orderings_c in children:
         s = ground & frozenset(ground_c)
@@ -465,10 +467,10 @@ def _profile(table, s, paid_above):
     return prof
 
 
-def _solve_bag(instance, td, t, tables, mode, cap):
+def _solve_bag(instance, td, t, tables, mode, force):
     net = instance.network
     members = td.bags[t]
-    ground = _checked_ground(net, members, cap)
+    ground = _checked_ground(net, members, force)
     kids = td.children(t)
     shared = []
     for c in kids:
@@ -531,8 +533,7 @@ def _reconstruct(td, tables, z):
         bv = INF
         for j, gamma in enumerate(table.orderings):
             v = table.maps[j].get(k, INF)
-            if v < bv and compatible(gamma, want, "partial", table.ground,
-                                     s_known):
+            if v < bv and _restrict(gamma, s_known) == want:
                 bv = v
                 bj = j
         if bj < 0:
@@ -556,7 +557,7 @@ def _reconstruct(td, tables, z):
     return gstar
 
 
-def _tw_solve(instance, td, mode, cap):
+def _tw_solve(instance, td, mode, force):
     check_instance(instance)
     net = instance.network
     if td is None:
@@ -571,7 +572,7 @@ def _tw_solve(instance, td, mode, cap):
 
     tables = [None] * len(td.bags)
     for t in reversed(td.topdown()):
-        tables[t] = _solve_bag(instance, td, t, tables, mode, cap)
+        tables[t] = _solve_bag(instance, td, t, tables, mode, force)
     best = min((m.get(z, INF) for m in tables[td.root].maps), default=INF)
     if best == INF:
         return infeasible_result(instance.seed, solver_name)
@@ -589,13 +590,13 @@ def _tw_solve(instance, td, mode, cap):
 
 def tw_full_optimal(instance: DiffusionInstance,
                     td: TreeDecomposition | None = None, *,
-                    cap: int = GROUND_CAP) -> SolveResult:
+                    force: bool = False) -> SolveResult:
     """Optimal full diffusion along a tree decomposition (z = node_count)."""
-    return _tw_solve(instance, td, "full", cap)
+    return _tw_solve(instance, td, "full", force)
 
 
 def tw_partial_optimal(instance: DiffusionInstance,
                        td: TreeDecomposition | None = None, *,
-                       cap: int = GROUND_CAP) -> SolveResult:
+                       force: bool = False) -> SolveResult:
     """Optimal partial diffusion (any z) along a tree decomposition."""
-    return _tw_solve(instance, td, "partial", cap)
+    return _tw_solve(instance, td, "partial", force)

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import stratdiff
-from stratdiff import (DiffusionInstance, InfluenceNetwork, dp_optimal,
-                       make_gk, save_instance, save_td,
-                       min_fill_decomposition)
+from stratdiff import (DiffusionInstance, InfluenceNetwork, TreeDecomposition,
+                       dp_optimal, make_gk, save_instance, save_td,
+                       min_fill_decomposition, random_connected)
+from stratdiff import exact
 from stratdiff.cli import main
 from helpers import full_instance, path_net
 
@@ -71,6 +72,30 @@ def test_solve_guard_and_force(tmp_path, capsys):
     assert code == 0
     assert "size guards disabled" in err
     assert json.loads(out)["total_time"] == 19.0
+
+
+def test_solve_guards_honour_force(tmp_path, capsys, monkeypatch):
+    # one 18-node block, so decompose runs the guarded DP on all of it
+    inst = full_instance(random_connected(18, 0.3, rng_seed=18))
+    want = dp_optimal(inst).total_time
+    p = write_instance(tmp_path, inst)
+    monkeypatch.setattr(exact, "DP_MEMORY_BUDGET", 1 << 20)
+    for solver in ("dp", "decompose"):
+        code, _, err = run(capsys, "solve", p, "--solver", solver)
+        assert code == 2
+        assert "layer" in err and "MiB" in err and "force" in err
+        code, out, _ = run(capsys, "solve", p, "--solver", solver, "--force")
+        assert code == 0
+        assert abs(json.loads(out)["total_time"] - want) <= 1e-9 * want
+    # one bag holding a 10-node path: a ground over 9, but one ordering
+    q = write_instance(tmp_path, full_instance(path_net(10)), "path.json")
+    tdp = str(tmp_path / "one_bag.json")
+    save_td(TreeDecomposition([range(10)]), tdp)
+    for solver in ("tw-full", "tw-partial"):
+        argv = ("solve", q, "--solver", solver, "--td", tdp)
+        assert run(capsys, *argv)[0] == 2
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out)["total_time"] == 17.0
 
 
 def test_solve_bad_inputs(tmp_path, capsys):

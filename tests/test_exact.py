@@ -46,15 +46,16 @@ def test_brute_force_guard():
     assert res.total_time == 2.0 * 9 + 1.0
 
 
-def test_dp_guard_and_env(monkeypatch):
-    net = path_net(29)
-    inst = full_instance(net)
-    with pytest.raises(SizeGuardError):
-        dp_optimal(inst)
-    monkeypatch.setenv("SD_MAX_DP_NODES", "29")
-    assert dp_optimal(inst).feasible
-    monkeypatch.delenv("SD_MAX_DP_NODES")
-    assert dp_optimal(inst, max_nodes=29).feasible
+def test_dp_memory_guard(monkeypatch):
+    # the guard counts states, not nodes: a path holds one per layer
+    assert dp_optimal(full_instance(path_net(29))).feasible
+    inst = full_instance(random_connected(18, 0.3, rng_seed=18))
+    want = dp_optimal(inst)
+    monkeypatch.setattr(exact, "DP_MEMORY_BUDGET", 1 << 20)
+    for solve in (dp_optimal, exact._dp_dict):
+        with pytest.raises(SizeGuardError, match=r"layer \d+: .* MiB"):
+            solve(inst)
+    assert dp_optimal(inst, force=True) == want
 
 
 def test_dp_rejects_invalid_instance():
@@ -169,7 +170,7 @@ def test_dp_kernel_follows_node_count(monkeypatch, n, kernel):
     # int64 masks cannot hold more than 62 nodes' bits safely
     other = "_dp_layers" if kernel == "_dp_dict" else "_dp_dict"
     monkeypatch.setattr(exact, other, _refuse)
-    res = dp_optimal(full_instance(path_net(n)), max_nodes=n)
+    res = dp_optimal(full_instance(path_net(n)))
     assert res.total_time == 2.0 * (n - 2) + 1.0
     assert res.sequence == tuple(range(n))
 

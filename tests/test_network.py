@@ -71,6 +71,10 @@ def test_probability_requires_inactive_target_and_influence():
         activation_probability(lonely, [1], 0)
     with pytest.raises(ZeroInfluenceError):
         expected_step_time(lonely, [1], 0)
+    # a negative weight would let the active in-weight pass the total
+    bad = InfluenceNetwork(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, -0.5)])
+    with pytest.raises(ValueError, match="negative weight"):
+        activation_probability(bad, [0], 1)
 
 
 def test_expected_step_time_values():
@@ -225,7 +229,7 @@ def test_probability_monotone_and_bounded():
         assert 0.0 <= p_big <= beta + 1e-15
         assert p_big >= p_small - 1e-15
         if p_small > 0.0:
-            assert expected_step_time(net, small, i, alpha, beta) >= 1.0 / beta - 1e-12
+            assert expected_step_time(net, small, i, alpha, beta) >= 1.0 / beta
 
 
 def test_unit_weights_match_neighbor_fraction():
