@@ -26,12 +26,10 @@ from .network import NetworkFormatError, SequenceError, SizeGuardError
 
 
 def _write_json(payload: dict, out):
-    text = json.dumps(payload, indent=1)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        network._write_json(payload, out)
     else:
-        print(text)
+        print(json.dumps(payload, indent=1))
 
 
 def _load_instance_with_overrides(args) -> network.DiffusionInstance:
@@ -132,9 +130,7 @@ def cmd_generate(args) -> int:
     network.save_instance(inst, args.out)
     meta_path = args.out[:-5] + ".meta.json" if args.out.endswith(".json") \
         else args.out + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+    network._write_json(meta, meta_path)
     print(f"wrote {args.out} ({inst.network.node_count} nodes, z={inst.z})")
     return 0
 

@@ -6,57 +6,59 @@ seed (or the cut node through which diffusion reaches the block), with all
 out-of-block incoming weights frozen into external influence offsets so the
 local total influence of every node equals its global value.  Summing the
 block optima gives the global optimum, and concatenating the block
-sequences in breadth-first order of the block-cut tree gives a valid
+sequences, each block after the block holding its entry, gives a valid
 global sequence.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
                       check_instance, infeasible_result, sequence_time)
 
 
-def biconnected_components(net: InfluenceNetwork):
-    """Blocks (as node sets) and cut nodes of a connected network.
+def _blocks(net: InfluenceNetwork, root: int):
+    """Blocks of a connected network from one Tarjan DFS rooted at root.
 
-    Returns (blocks, cut_nodes) where blocks is a list of frozensets in a
-    deterministic order and cut_nodes a frozenset.  A single-node network
-    has no blocks.  Raises ValueError when the network is disconnected.
+    Returns (blocks, cut_nodes): blocks is a list of (sorted nodes, edge
+    records, entry) in the order the DFS closes them, entry being the block's
+    node nearest the root, so every block closes before the block holding
+    its entry.  Raises ValueError when the network is disconnected.
     """
     n = net.node_count
-    if n == 1:
-        return [], frozenset()
-    adj = [net.neighbors(i) for i in range(n)]
+    adj = [[] for _ in range(n)]  # ascending neighbours, as net.edges is sorted
+    for rec in net.edges:
+        adj[rec[0]].append((rec[1], rec))
+        adj[rec[1]].append((rec[0], rec))
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
+    mark = [0] * n  # edge-stack height before the tree edge into each node
     blocks = []
     cuts = set()
     estack = []
-    timer = 0
 
-    disc[0] = low[0] = timer
-    timer += 1
+    disc[root] = low[root] = 0
+    timer = 1
     root_children = 0
-    stack = [(0, 0)]
+    stack = [(root, 0)]
     while stack:
         v, idx = stack[-1]
         if idx < len(adj[v]):
             stack[-1] = (v, idx + 1)
-            w = adj[v][idx]
+            w, rec = adj[v][idx]
             if disc[w] == -1:
                 parent[w] = v
-                if v == 0:
+                if v == root:
                     root_children += 1
-                estack.append((v, w))
+                mark[w] = len(estack)
+                estack.append(rec)
                 disc[w] = low[w] = timer
                 timer += 1
                 stack.append((w, 0))
             elif w != parent[v] and disc[w] < disc[v]:
-                estack.append((v, w))
+                estack.append(rec)
                 if disc[w] < low[v]:
                     low[v] = disc[w]
         else:
@@ -66,21 +68,28 @@ def biconnected_components(net: InfluenceNetwork):
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    comp = set()
-                    while True:
-                        e = estack.pop()
-                        comp.add(e[0])
-                        comp.add(e[1])
-                        if e == (u, v):
-                            break
-                    blocks.append(frozenset(comp))
-                    if u != 0:
+                    recs = estack[mark[v]:]
+                    del estack[mark[v]:]
+                    nodes = sorted({x for rec in recs for x in rec[:2]})
+                    blocks.append((nodes, recs, u))
+                    if u != root:
                         cuts.add(u)
     if timer != n:
         raise ValueError("network is disconnected")
     if root_children > 1:
-        cuts.add(0)
+        cuts.add(root)
     return blocks, frozenset(cuts)
+
+
+def biconnected_components(net: InfluenceNetwork):
+    """Blocks (as node sets) and cut nodes of a connected network.
+
+    Returns (blocks, cut_nodes) where blocks is a list of frozensets in a
+    deterministic order and cut_nodes a frozenset.  A single-node network
+    has no blocks.  Raises ValueError when the network is disconnected.
+    """
+    blocks, cuts = _blocks(net, 0)
+    return [frozenset(nodes) for nodes, _, _ in blocks], cuts
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,9 @@ class ComponentInstance:
 def component_instances(instance: DiffusionInstance):
     """Split a full-diffusion instance into per-block subinstances.
 
-    Blocks are ordered by breadth-first traversal of the block-cut tree
-    from the seed, so every block's entry node is activated by an earlier
-    block.  Out-of-block incoming weights become external influence.
+    Blocks come in the reverse of the order a DFS from the seed closes
+    them, so every block's entry node is activated by an earlier block.
+    Out-of-block incoming weights become external influence.
     """
     net = instance.network
     n = net.node_count
@@ -106,40 +115,16 @@ def component_instances(instance: DiffusionInstance):
     if n == 1:
         return [ComponentInstance(instance=instance, to_global=(instance.seed,),
                                   entry=instance.seed)]
-    blocks, cuts = biconnected_components(net)
-
-    node_blocks = {}
-    for bi, blk in enumerate(blocks):
-        for v in blk:
-            node_blocks.setdefault(v, []).append(bi)
-
-    seed = instance.seed
-    start = node_blocks[seed]
-    visited = set(start)
-    queue = deque((bi, seed) for bi in start)
-    order = []
-    while queue:
-        bi, entry = queue.popleft()
-        order.append((bi, entry))
-        for c in sorted(blocks[bi]):
-            if c in cuts and c != entry:
-                for bj in node_blocks[c]:
-                    if bj not in visited:
-                        visited.add(bj)
-                        queue.append((bj, c))
-
+    blocks, _ = _blocks(net, instance.seed)
     out = []
-    for bi, entry in order:
-        blk = sorted(blocks[bi])
+    for blk, recs, entry in reversed(blocks):
         local = {g: i for i, g in enumerate(blk)}
-        inblk = set(blk)
-        edges = [(local[u], local[v], wuv, wvu)
-                 for u, v, wuv, wvu in net.edges if u in inblk and v in inblk]
+        edges = [(local[u], local[v], wuv, wvu) for u, v, wuv, wvu in recs]
         ext = []
         for g in blk:
             d = net.external_influence[g]
             for j, wjg in net.incoming(g):
-                if j not in inblk:
+                if j not in local:
                     d += wjg
             ext.append(d)
         sub = InfluenceNetwork(len(blk), edges, ext)

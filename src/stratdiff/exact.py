@@ -24,7 +24,7 @@ BRUTE_NODE_CAP = 10
 DP_MEMORY_BUDGET = 1 << 30
 # Bytes per state (a layer's candidates plus the states kept so far), from
 # tracemalloc peaks of random_connected(n, 0.3) solves; see CHANGES.md
-_ARRAY_BYTES_PER_STATE = 16
+_ARRAY_BYTES_PER_STATE = 14
 _DICT_BYTES_PER_STATE = 75
 # dp_optimal's numpy kernel runs for node counts in this range: below it the
 # dict loop is faster (crossover measured on random_connected(n, 0.3), full
@@ -234,6 +234,8 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
         masks, times = new[keep], best[keep]
         layers.append((masks, pred[keep]))
         kept += masks.size
+        # free this layer's temporaries before the next layer allocates
+        del grow, part, first, new, best, pred, keep, prev, at, cand, win
 
     mask = int(masks[np.argmin(times)])
     rev = []

@@ -392,15 +392,24 @@ def _net_from_dict(d: dict, where: str) -> InfluenceNetwork:
         raise NetworkFormatError(f"{where}: {exc}") from exc
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise NetworkFormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _write_json(obj, path: str):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
 def load(path: str) -> InfluenceNetwork:
     """Load a network from .json or text (.txt and anything else)."""
     if path.endswith(".json"):
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise NetworkFormatError(f"{path}: invalid JSON ({exc})") from exc
-        return _net_from_dict(d, path)
+        return _net_from_dict(_read_json(path), path)
     return _load_text(path)
 
 
@@ -440,9 +449,7 @@ def _load_text(path: str) -> InfluenceNetwork:
 def save(net: InfluenceNetwork, path: str):
     """Write a network to .json or text, matching load()."""
     if path.endswith(".json"):
-        with open(path, "w") as fh:
-            json.dump(_net_to_dict(net), fh, indent=1)
-            fh.write("\n")
+        _write_json(_net_to_dict(net), path)
         return
     if any(x != 0.0 for x in net.external_influence):
         raise NetworkFormatError(
@@ -456,11 +463,7 @@ def save(net: InfluenceNetwork, path: str):
 def load_instance(path: str) -> DiffusionInstance:
     if not path.endswith(".json"):
         raise NetworkFormatError("instance files are JSON")
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"{path}: invalid JSON ({exc})") from exc
+    d = _read_json(path)
     net = _net_from_dict(d, path)
     try:
         seed = int(d["seed"])
@@ -478,6 +481,4 @@ def save_instance(instance: DiffusionInstance, path: str):
     d = _net_to_dict(instance.network)
     d.update({"seed": instance.seed, "z": instance.z,
               "alpha": instance.alpha, "beta": instance.beta})
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+    _write_json(d, path)

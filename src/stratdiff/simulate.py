@@ -9,7 +9,7 @@ deterministic in rng_seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,14 +26,7 @@ class SimulationResult:
     analytic_time: float
 
     def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "sample_min": self.sample_min,
-            "sample_max": self.sample_max,
-            "analytic_time": self.analytic_time,
-        }
+        return asdict(self)
 
 
 def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,

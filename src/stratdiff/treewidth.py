@@ -18,14 +18,14 @@ g > GROUND_CAP nodes, on the order of g! orderings, unless force=True.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
-                      SizeGuardError, SolveResult, _step_time_masked,
-                      check_instance, infeasible_result, sequence_time)
+                      SizeGuardError, SolveResult, _read_json,
+                      _step_time_masked, _write_json, check_instance,
+                      infeasible_result, sequence_time)
 
 INF = math.inf
 
@@ -74,13 +74,13 @@ class TreeDecomposition:
                 if w == parent[t]:
                     continue
                 if parent[w] != -2:
-                    raise ValueError("decomposition edges contain a cycle")
+                    raise ValueError("tree edges contain a cycle")
                 parent[w] = t
                 kids.append(w)
             children[t] = kids
             stack.extend(reversed(kids))
         if len(topo) != nb:
-            raise ValueError("decomposition edges do not connect all bags")
+            raise ValueError("tree edges do not connect all bags")
         return parent, children, topo
 
     def parent(self, t: int) -> int:
@@ -115,20 +115,11 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
     if len(td.edges) != nb - 1:
         out.append(f"tree needs {nb - 1} edges, has {len(td.edges)}")
 
-    adj = [[] for _ in range(nb)]
-    for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {td.root}
-    stack = [td.root]
-    while stack:
-        t = stack.pop()
-        for w in adj[t]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != nb:
-        out.append("tree edges do not connect all bags")
+    try:
+        parent = td._orientation[0]
+    except ValueError as exc:  # not a tree; running intersection is moot
+        out.append(str(exc))
+        parent = None
 
     for v in range(net.node_count):
         if not holding[v]:
@@ -137,20 +128,12 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
         if set(holding[u]).isdisjoint(holding[v]):
             out.append(f"edge ({u}, {v}) is covered by no bag")
 
-    for v, bags in enumerate(holding):
-        if len(bags) <= 1:
-            continue
-        hold = set(bags)
-        comp = {bags[0]}
-        stack = [bags[0]]
-        while stack:
-            t = stack.pop()
-            for w in adj[t]:
-                if w in hold and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if len(comp) != len(bags):
-            out.append(f"bags containing node {v} are not connected in the tree")
+    if parent is not None:
+        # v's bags are connected iff exactly one has no parent holding v
+        for v, bags in enumerate(holding):
+            tops = sum(1 for t in bags if parent[t] < 0 or v not in td.bags[parent[t]])
+            if tops > 1:
+                out.append(f"bags containing node {v} are not connected in the tree")
     return out
 
 
@@ -215,11 +198,7 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
 
 def load_td(path: str) -> TreeDecomposition:
     if path.endswith(".json"):
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise NetworkFormatError(f"{path}: invalid JSON ({exc})") from exc
+        d = _read_json(path)
         try:
             return TreeDecomposition(bags=d["bags"], edges=d.get("edges", ()),
                                      root=d.get("root", 0))
@@ -266,9 +245,7 @@ def save_td(td: TreeDecomposition, path: str):
         d = {"root": td.root,
              "bags": [sorted(b) for b in td.bags],
              "edges": [list(e) for e in td.edges]}
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=1)
-            fh.write("\n")
+        _write_json(d, path)
         return
     n = max((v for bag in td.bags for v in bag), default=-1) + 1
     maxbag = max((len(b) for b in td.bags), default=0)

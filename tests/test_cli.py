@@ -49,7 +49,7 @@ def test_solve_out_file_and_overrides(tmp_path, capsys):
                        "--beta", "0.5", "--out", outp)
     assert code == 0
     assert out == ""
-    d = json.loads(open(outp).read())
+    d = json.loads(Path(outp).read_text())
     assert d["sequence"] == [0, 1]
     # (2/1)^0.5 / 0.5
     assert abs(d["total_time"] - 2.0 ** 0.5 / 0.5) <= 1e-12
@@ -152,7 +152,7 @@ def test_generate_gk(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "gk", "--k", "2", "--out", outp)
     assert code == 0
     assert "wrote" in out
-    meta = json.loads(open(outp[:-5] + ".meta.json").read())
+    meta = json.loads(Path(outp[:-5] + ".meta.json").read_text())
     assert meta["family"] == "gk" and meta["k"] == 2
     assert meta["n"] == 6 and meta["z"] == 6
     code, sout, _ = run(capsys, "solve", outp)
@@ -166,7 +166,7 @@ def test_generate_np_hard_binary(tmp_path, capsys):
                        "--sets", "0,1", "--k", "1", "--binary",
                        "--out", outp)
     assert code == 0
-    meta = json.loads(open(outp[:-5] + ".meta.json").read())
+    meta = json.loads(Path(outp[:-5] + ".meta.json").read_text())
     assert meta["t_star"] == 5.0
     assert meta["binary_weights"] is True
     assert meta["sets"] == [[0, 1]]
@@ -179,7 +179,7 @@ def test_generate_inapprox_meta(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "inapprox", "--universe", "2",
                      "--sets", "0,1;0", "--lam", "1.0", "--out", outp)
     assert code == 0
-    meta = json.loads(open(outp[:-5] + ".meta.json").read())
+    meta = json.loads(Path(outp[:-5] + ".meta.json").read_text())
     assert meta["scale"] == 28.0
     assert meta["z"] == 7
 
@@ -189,7 +189,7 @@ def test_generate_random_with_z(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "random", "--n", "7",
                      "--rng-seed", "3", "--z", "4", "--out", outp)
     assert code == 0
-    meta = json.loads(open(outp[:-5] + ".meta.json").read())
+    meta = json.loads(Path(outp[:-5] + ".meta.json").read_text())
     assert meta["n"] == 7 and meta["z"] == 4
     code, sout, _ = run(capsys, "solve", outp)
     assert code == 0

@@ -1,13 +1,17 @@
 """Property tests: the exact solvers agree, every result is its replay,
-the two subset-DP kernels give identical results, and binarising integer
-weights shifts the optimum by the rewritten weight.
+the two subset-DP kernels give identical results, binarising integer
+weights shifts the optimum by the rewritten weight, and the block split
+from every seed matches a brute-force cut-node reference.
 
-Instances are small connected networks (2-8 nodes) whose weights include
-zeros, so unreachable nodes and infeasible targets are generated too.
+Solver instances are small connected networks (2-8 nodes) whose weights
+include zeros, so unreachable nodes and infeasible targets are generated
+too; the block split runs on block chains and random networks of 1-14
+nodes.
 """
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -15,12 +19,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
-                       binarize_weights, brute_force_optimal, dp_optimal,
-                       greedy_sequence, majority_sequence, sequence_time,
-                       solve_full_via_decomposition, tw_full_optimal,
-                       tw_partial_optimal)
-from stratdiff import exact  # noqa: E402
-from helpers import dp_kernel_result  # noqa: E402
+                       biconnected_components, binarize_weights,
+                       brute_force_optimal, component_instances, dp_optimal,
+                       greedy_sequence, majority_sequence, random_connected,
+                       sequence_time, solve_full_via_decomposition,
+                       tw_full_optimal, tw_partial_optimal)
+from stratdiff import decompose, exact  # noqa: E402
+from helpers import blocky_graph, dp_kernel_result  # noqa: E402
 
 WEIGHT = st.one_of(st.just(0.0), st.just(1.0),
                    st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False))
@@ -100,3 +105,51 @@ def test_binarized_optimum_shifts_by_offset(inst):
     split = solve_full_via_decomposition(
         DiffusionInstance(out, inst.seed, out.node_count), dp_optimal)
     assert _close(split.total_time, dp_optimal(inst).total_time + offset)
+
+
+@st.composite
+def block_networks(draw):
+    n = draw(st.integers(1, 14))
+    rng_seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        return blocky_graph(random.Random(rng_seed), n)
+    return random_connected(n, draw(st.sampled_from([0.1, 0.3])),
+                            rng_seed=rng_seed)
+
+
+def _cut_nodes(net):
+    """Nodes whose deletion disconnects the rest of the network."""
+    n = net.node_count
+    cuts = set()
+    for v in range(n if n > 2 else 0):  # one node left is connected
+        start = 1 if v == 0 else 0
+        seen = {v, start}
+        stack = [start]
+        while stack:
+            for w in net.neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < n:
+            cuts.add(v)
+    return cuts
+
+
+@given(block_networks())
+def test_blocks_split_at_the_cut_nodes_from_every_seed(net):
+    cuts = _cut_nodes(net)
+    assert biconnected_components(net)[1] == cuts
+    for seed in range(net.node_count):
+        assert decompose._blocks(net, seed)[1] == cuts
+        active = {seed}
+        edges = []
+        for comp in component_instances(DiffusionInstance(net, seed, net.node_count)):
+            g = comp.to_global
+            sub = comp.instance.network
+            assert comp.entry in active and g[comp.instance.seed] == comp.entry
+            active.update(g)
+            edges += [(g[u], g[v], wuv, wvu) for u, v, wuv, wvu in sub.edges]
+            for loc, glob in enumerate(g):
+                assert sub.total_influence[loc] == \
+                    pytest.approx(net.total_influence[glob], abs=1e-12)
+        assert sorted(edges) == list(net.edges)

@@ -23,25 +23,40 @@ def test_validate_good_path_decomposition():
     assert td.width == 1
 
 
-def test_validate_catches_uncovered_edge():
-    net = InfluenceNetwork(3, [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 1, 1)])
-    td = TreeDecomposition(bags=[{0, 1}, {1, 2}], edges=[(0, 1)])
-    problems = validate_decomposition(net, td)
-    assert any("(0, 2)" in p for p in problems)
+TRIANGLE = InfluenceNetwork(3, [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 1, 1)])
 
 
-def test_validate_catches_disconnected_occurrences():
-    net = path_net(4)
-    td = TreeDecomposition(bags=[{0, 1}, {2, 3}, {1, 2}],
-                           edges=[(0, 1), (1, 2)], root=0)
-    problems = validate_decomposition(net, td)
-    assert any("node 1" in p for p in problems)
-
-
-def test_validate_catches_broken_tree():
-    net = path_net(3)
-    td = TreeDecomposition(bags=[{0, 1}, {1, 2}], edges=[], root=0)
-    assert validate_decomposition(net, td)
+@pytest.mark.parametrize("net, td, want", [
+    (path_net(4), TreeDecomposition([{0, 1}, {1, 2}, {2, 3}],
+                                    [(0, 1), (1, 2)], root=3),
+     ["root 3 out of range"]),
+    (path_net(4), TreeDecomposition([{0, 1}, {1, 2}, {2, 3, 7}],
+                                    [(0, 1), (1, 2)]),
+     ["bag 2 contains unknown node 7"]),
+    (path_net(4), TreeDecomposition([{0, 1}, {1, 2}, {2, 3}],
+                                    [(0, 1), (1, 5)]),
+     ["tree edge (1, 5) out of range"]),
+    (path_net(3), TreeDecomposition([{0, 1}, {1, 2}], []),
+     ["tree needs 1 edges, has 0", "tree edges do not connect all bags"]),
+    # right edge count, but the root's part is a tree and the rest a cycle
+    (path_net(3), TreeDecomposition([{0, 1}, {1, 2}, {2}, {2}, {2}],
+                                    [(0, 1), (2, 3), (3, 4), (4, 2)]),
+     ["tree edges do not connect all bags"]),
+    (path_net(4), TreeDecomposition([{0, 1}, {1, 2}, {2, 3}, {3}],
+                                    [(0, 1), (1, 2), (2, 0)]),
+     ["tree edges contain a cycle"]),
+    (InfluenceNetwork(3, [(0, 1, 1, 1)]), TreeDecomposition([{0, 1}]),
+     ["node 2 appears in no bag"]),
+    (TRIANGLE, TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)]),
+     ["edge (0, 2) is covered by no bag"]),
+    (path_net(4), TreeDecomposition([{0, 1}, {2, 3}, {1, 2}],
+                                    [(0, 1), (1, 2)]),
+     ["bags containing node 1 are not connected in the tree"]),
+], ids=["root-range", "unknown-node", "edge-range", "edge-count",
+        "disconnected", "cycle", "no-bag", "uncovered-edge",
+        "running-intersection"])
+def test_validate_reports(net, td, want):
+    assert validate_decomposition(net, td) == want
 
 
 def test_orientation_and_children_order():
