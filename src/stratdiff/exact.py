@@ -16,6 +16,7 @@ import numpy as np
 from .network import (DiffusionInstance, SizeGuardError, SolveResult,
                       _step_time_masked, _step_times_masked, check_instance,
                       infeasible_result, sequence_time)
+from .heuristics import greedy_sequence
 
 INF = math.inf
 
@@ -94,10 +95,13 @@ def dp_optimal(instance: DiffusionInstance, *,
     and a numpy kernel over sorted int64 arrays of masks.  The numpy kernel
     runs for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES
     (below the measured crossover its per-layer overhead loses; above the
-    top, int64 masks would overflow).  Before building each layer, either
-    kernel estimates its memory from the layer's candidate states and the
-    states kept so far, and raises SizeGuardError when the estimate passes
-    DP_MEMORY_BUDGET, unless force=True.
+    top, int64 masks would overflow).  The numpy kernel also drops the
+    states whose time plus a lower bound on the remaining steps exceeds
+    the greedy total; the bound keeps every optimal path and its ties, so
+    the answer does not change (see _dp_layers).  Before building each
+    layer, either kernel estimates its memory from the layer's candidate
+    states and the states kept so far, and raises SizeGuardError when the
+    estimate passes DP_MEMORY_BUDGET, unless force=True.
     """
     check_instance(instance)
     n = instance.network.node_count
@@ -192,6 +196,18 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     first least time picks the smallest mask.  Both rules reproduce the
     push order of _dp_dict, and the additions are the same, so the answers
     are identical.
+
+    Branch and bound: a state S with time t is dropped when t + LB(S)
+    exceeds UB * (1 + 1e-9), UB being the greedy total.  minc_i, i's step
+    time with every neighbour active, is the least step time i can have,
+    and LB(S) sums the z - |S| smallest minc over S's inactive nodes (inf
+    when too few are finite).  LB is consistent, LB(P) <= minc_i +
+    LB(P + i), so every state on an optimal path passes, as does every
+    predecessor float-tied to one; both tie rules then pick what they pick
+    unbounded, and a dropped state can only raise the time of a state that
+    is not optimal.  The margin absorbs LB's different summation order
+    (at alpha = 0 every state sits exactly at UB).  An infeasible greedy
+    run gives UB = inf and drops nothing.
     """
     net = instance.network
     n = net.node_count
@@ -202,6 +218,10 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     times = np.zeros(1)
     layers = []  # per layer after the seed's: (masks, last activated node)
     kept = 1
+    ub = greedy_sequence(instance).total_time * (1 + 1e-9)
+    minc = [_step_time_masked(net, net._neighbor_mask[i], i, alpha, beta)
+            for i in range(n)]
+    cheap = sorted(range(n), key=minc.__getitem__)
 
     for layer in range(2, instance.z + 1):
         # per node i, the masks it can join: i inactive, a neighbour active
@@ -228,14 +248,21 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
             win = cand <= best[at]
             best[at[win]] = cand[win]
             pred[at[win]] = i
-        keep = best < INF
+        lb = np.zeros(new.size)
+        short = np.full(new.size, instance.z - layer, dtype=np.int8)
+        for i in cheap:  # add the cheapest inactive nodes LB still lacks
+            add = (short > 0) & ((new & (1 << i)) == 0)
+            np.add(lb, minc[i], out=lb, where=add)
+            short -= add
+        keep = (best < INF) & (best + lb <= ub)
         if not keep.any():
             return None
         masks, times = new[keep], best[keep]
         layers.append((masks, pred[keep]))
         kept += masks.size
         # free this layer's temporaries before the next layer allocates
-        del grow, part, first, new, best, pred, keep, prev, at, cand, win
+        del (grow, part, first, new, best, pred, keep, prev, at, cand, win,
+             lb, short, add)
 
     mask = int(masks[np.argmin(times)])
     rev = []

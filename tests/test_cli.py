@@ -75,8 +75,9 @@ def test_solve_guard_and_force(tmp_path, capsys):
 
 
 def test_solve_guards_honour_force(tmp_path, capsys, monkeypatch):
-    # one 18-node block, so decompose runs the guarded DP on all of it
-    inst = full_instance(random_connected(18, 0.3, rng_seed=18))
+    # one 18-node block, so decompose runs the guarded DP on all of it; at
+    # alpha = 0 every state ties with greedy, so the bound prunes nothing
+    inst = full_instance(random_connected(18, 0.3, rng_seed=18), alpha=0.0)
     want = dp_optimal(inst).total_time
     p = write_instance(tmp_path, inst)
     monkeypatch.setattr(exact, "DP_MEMORY_BUDGET", 1 << 20)

@@ -49,7 +49,8 @@ def test_brute_force_guard():
 def test_dp_memory_guard(monkeypatch):
     # the guard counts states, not nodes: a path holds one per layer
     assert dp_optimal(full_instance(path_net(29))).feasible
-    inst = full_instance(random_connected(18, 0.3, rng_seed=18))
+    # at alpha = 0 every state ties with greedy, so the bound prunes nothing
+    inst = full_instance(random_connected(18, 0.3, rng_seed=18), alpha=0.0)
     want = dp_optimal(inst)
     monkeypatch.setattr(exact, "DP_MEMORY_BUDGET", 1 << 20)
     for solve in (dp_optimal, exact._dp_dict):
@@ -138,6 +139,13 @@ def test_determinism():
     (13, 5, 0.5, 1.0, {}),
     (14, 3, 0.0, 1.0, {}),
     (15, 7, 1.0, 0.6, {}),
+    # alpha = 0: every state's time plus its bound equals the greedy total
+    (12, 2, 0.0, 0.7, {}),
+    (13, 4, 0.0, 0.7, {}),
+    (14, 9, 0.0, 0.7, {}),
+    # integer weights in {1, 2}: many tied times
+    (13, 0, 1.0, 1.0, dict(integer_weights=True, weight_range=(1, 2))),
+    (14, 2, 0.5, 0.7, dict(integer_weights=True, weight_range=(1, 2))),
 ])
 def test_dp_kernels_agree_mid_size(n, seed, alpha, beta, weights):
     net = random_connected(n, 0.3, rng_seed=n, **weights)
@@ -158,6 +166,65 @@ def test_dp_kernels_agree_when_unreachable():
         assert dp_kernel_result(exact._dp_layers, inst) == want, z
         assert dp_optimal(inst) == want, z
         assert want.feasible == (z <= 6)
+
+
+def _with_dead_node(n):
+    """random_connected(n) with external influence on every third node and
+    no influence at all on node n - 1, which no order can activate."""
+    dead = n - 1
+    edges = [(u, v, 0.0 if v == dead else a, 0.0 if u == dead else b)
+             for u, v, a, b in random_connected(n, 0.3, rng_seed=n).edges]
+    ext = [0.5 if i % 3 == 0 else 0.0 for i in range(dead)] + [0.0]
+    return InfluenceNetwork(n, edges, ext)
+
+
+_GK3 = make_gk(3)
+
+
+@pytest.mark.parametrize("net, seed, alpha, beta", [
+    # external influence, and a node whose cheapest step time is inf
+    (_with_dead_node(13), 1, 0.5, 1.0),
+    (_with_dead_node(14), 0, 1.0, 0.7),
+    # G(3): greedy is far from optimal, so the bound is loose
+    (_GK3.network, _GK3.seed, _GK3.alpha, _GK3.beta),
+], ids=["dead-13", "dead-14", "gk3"])
+def test_dp_kernels_agree_on_weak_bounds(net, seed, alpha, beta):
+    for z in range(1, net.node_count + 1):
+        inst = DiffusionInstance(net, seed, z, alpha, beta)
+        want = dp_kernel_result(exact._dp_dict, inst)
+        assert dp_kernel_result(exact._dp_layers, inst) == want, z
+
+
+@pytest.mark.parametrize("inst", [
+    # alpha = 0: every state sits exactly at the greedy total
+    DiffusionInstance(random_connected(14, 0.3, rng_seed=14), 3, 14, 0.0, 0.7),
+    DiffusionInstance(random_connected(14, 0.3, rng_seed=14), 3, 7, 0.0, 0.7),
+    # greedy cannot activate node 13, so there is no bound to prune with
+    full_instance(_with_dead_node(14)),
+], ids=["alpha0-full", "alpha0-half", "greedy-infeasible"])
+def test_dp_bound_prunes_nothing_it_cannot(monkeypatch, inst):
+    held = []
+    check = exact._check_layer
+
+    def spy(layer, candidates, kept, bytes_per_state, force):
+        held.append(kept)
+        check(layer, candidates, kept, bytes_per_state, force)
+
+    monkeypatch.setattr(exact, "_check_layer", spy)
+    want = exact._dp_dict(inst)
+    dict_held = held.copy()
+    held.clear()
+    assert exact._dp_layers(inst) == want
+    assert held == dict_held
+
+
+def test_dp_bound_solves_past_the_unbounded_guard():
+    # unbounded, layer 11 alone would need over 1 GiB and be refused
+    inst = DiffusionInstance(random_connected(28, 0.3, rng_seed=28), 0, 14)
+    res = dp_optimal(inst)
+    assert res.feasible
+    assert res == sequence_time(inst, res.sequence, solver="dp")
+    assert res.total_time <= greedy_sequence(inst).total_time
 
 
 def _refuse(instance):
