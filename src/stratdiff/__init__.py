@@ -14,10 +14,9 @@ from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
 from .exact import brute_force_optimal, dp_optimal
 from .decompose import (ComponentInstance, biconnected_components,
                         component_instances, solve_full_via_decomposition)
-from .treewidth import (TreeDecomposition, bag_ground, compatible,
-                        enumerate_admissible, load_td, min_fill_decomposition,
-                        save_td, tw_full_optimal, tw_partial_optimal,
-                        validate_decomposition)
+from .treewidth import (TreeDecomposition, bag_ground, load_td,
+                        min_fill_decomposition, save_td, tw_full_optimal,
+                        tw_partial_optimal, validate_decomposition)
 from .heuristics import greedy_sequence, majority_sequence, strategy_a_gk
 from .generators import (SetCoverInstance, binarize_weights,
                          brute_force_set_cover, extract_cover, inapprox_scale,
@@ -37,9 +36,9 @@ __all__ = [
     "brute_force_optimal", "dp_optimal",
     "ComponentInstance", "biconnected_components", "component_instances",
     "solve_full_via_decomposition",
-    "TreeDecomposition", "bag_ground", "compatible", "enumerate_admissible",
-    "load_td", "min_fill_decomposition", "save_td", "tw_full_optimal",
-    "tw_partial_optimal", "validate_decomposition",
+    "TreeDecomposition", "bag_ground", "load_td", "min_fill_decomposition",
+    "save_td", "tw_full_optimal", "tw_partial_optimal",
+    "validate_decomposition",
     "greedy_sequence", "majority_sequence", "strategy_a_gk",
     "SetCoverInstance", "binarize_weights", "brute_force_set_cover",
     "extract_cover", "inapprox_scale", "make_gk", "make_inapprox",

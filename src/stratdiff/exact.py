@@ -248,6 +248,8 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
             win = cand <= best[at]
             best[at[win]] = cand[win]
             pred[at[win]] = i
+        # the bound's pass sets the layer's peak: free the pull's arrays first
+        del grow, part, prev, at, cand, win
         lb = np.zeros(new.size)
         short = np.full(new.size, instance.z - layer, dtype=np.int8)
         for i in cheap:  # add the cheapest inactive nodes LB still lacks
@@ -261,8 +263,7 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
         layers.append((masks, pred[keep]))
         kept += masks.size
         # free this layer's temporaries before the next layer allocates
-        del (grow, part, first, new, best, pred, keep, prev, at, cand, win,
-             lb, short, add)
+        del first, new, best, pred, keep, lb, short, add
 
     mask = int(masks[np.argmin(times)])
     rev = []

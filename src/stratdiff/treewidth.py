@@ -6,13 +6,13 @@ bag member is fully determined by an ordering of that ground set.  One
 dynamic program serves both solvers.  Bottom-up, each bag keeps the
 admissible orderings its children can match on shared ground, each with a
 budget map {k: least time with k subtree nodes active} that folds in the
-children's maps; a node's step time is paid at the highest bag holding it.
-Top-down, the budget is split over the children and the chosen orderings
-are spliced into one global sequence.
+children's maps.  Each node is counted and priced once, at its top bag:
+the bag whose parent does not hold it.  Top-down, the budget is split over
+the children and the chosen orderings are spliced into one global sequence.
 
-tw_partial_optimal orders subsequences of each ground and reads the root
-at k = z.  tw_full_optimal orders permutations, so every map has the
-single entry k = subtree size, read at k = n.  Both refuse a ground of
+Both solvers run this DP, read at k = z; z also picks what each bag orders:
+permutations of its ground at z = node_count, subsequences below it.
+tw_full_optimal accepts only z = node_count.  Both refuse a ground of
 g > GROUND_CAP nodes, on the order of g! orderings, unless force=True.
 """
 
@@ -262,29 +262,11 @@ def save_td(td: TreeDecomposition, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Orderings and compatibility.
+# Orderings.
 
 
 def _restrict(seq, members):
     return tuple([x for x in seq if x in members])
-
-
-def compatible(gamma, gamma_p, mode: str = "full", ground=None, ground_p=None):
-    """Whether two bag orderings agree where they overlap.
-
-    Full mode compares the orderings on their common support.  Partial mode
-    needs both ground sets and compares restrictions to the ground
-    intersection, so a node activated by one ordering but skipped by the
-    other (while visible to both) is a disagreement.
-    """
-    if mode == "full":
-        ground, ground_p = gamma, gamma_p
-    elif mode != "partial":
-        raise ValueError(f"unknown mode {mode!r}")
-    elif ground is None or ground_p is None:
-        raise ValueError("partial compatibility needs both ground sets")
-    common = set(ground) & set(ground_p)
-    return _restrict(gamma, common) == _restrict(gamma_p, common)
 
 
 def bag_ground(net: InfluenceNetwork, bag) -> frozenset:
@@ -306,25 +288,28 @@ def _checked_ground(net, bag, force):
     return ground
 
 
-def _orderings(net, bag, ground, seed, mode, kids=()):
+def _orderings(instance, bag, ground, kids=()):
     """Admissible orderings of the ground set, lexicographic.
 
     Constraints: the seed leads whenever it belongs to the bag, and every
-    non-seed bag member is preceded by one of its neighbors.  Full mode
-    yields permutations of the ground, partial mode every admissible
-    ordered subsequence (including the empty one when the seed is not a
-    bag member).
+    non-seed bag member is preceded by one of its neighbors.  The instance's
+    z decides what is enumerated: at z = node_count every node ends up
+    active, so only permutations of the ground are yielded; below it,
+    every admissible ordered subsequence (including the empty one when the
+    seed is not a bag member).
 
     kids holds (shared ground, keys) pairs.  Each ordering comes with its
     restriction to every shared ground and is kept only when each
     restriction is one of that kid's keys; the search leaves a branch as
     soon as a restriction is no prefix of any key.
     """
+    net = instance.network
+    seed = instance.seed
     elems = sorted(ground)
     bagset = frozenset(bag)
     nbr = net._neighbor_mask
     lead = seed in bagset
-    partial = mode == "partial"
+    partial = instance.z < net.node_count
     keysets = [keys for _, keys in kids]
     prefixes = [{key[:i] for key in keys for i in range(len(key) + 1)}
                 for keys in keysets]
@@ -362,26 +347,6 @@ def _orderings(net, bag, ground, seed, mode, kids=()):
     return out
 
 
-def enumerate_admissible(bag, instance: DiffusionInstance, children=(),
-                         mode: str = "full"):
-    """Admissible orderings of a bag's ground set.
-
-    children is an iterable of (ground, orderings) pairs for already-solved
-    child bags; an ordering survives only if every child offers a
-    compatible one.  Refuses ground sets larger than GROUND_CAP.
-    """
-    if mode not in ("full", "partial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    net = instance.network
-    ground = _checked_ground(net, bag, False)
-    kids = []
-    for ground_c, orderings_c in children:
-        s = ground & frozenset(ground_c)
-        kids.append((s, {_restrict(g, s) for g in orderings_c}))
-    return tuple(g for g, _ in
-                 _orderings(net, bag, ground, instance.seed, mode, kids))
-
-
 # ---------------------------------------------------------------------------
 # Solvers.
 
@@ -391,12 +356,10 @@ class _BagTable:
     """One solved bag: its kept orderings and what each kid offers them."""
 
     ground: frozenset
-    members: frozenset
-    kids: tuple      # child bag indices, in decomposition order
-    shared: list     # per kid: (shared ground, profile from _profile)
+    shared: list     # per kid, in td.children order: (shared ground, profile)
     orderings: list  # kept orderings, each with a nonempty budget map
-    costs: list      # per ordering: {bag member: step time}, in its order
-    maps: list       # per ordering: budget map of the whole subtree
+    costs: list      # per ordering: {top-bag member: step time}, in its order
+    maps: list       # per ordering: budget map of the subtree's top-bag nodes
 
 
 def _chain(cost, profiles, cap):
@@ -423,47 +386,40 @@ def _chain(cost, profiles, cap):
     return chain
 
 
-def _profile(table, s, paid_above):
-    """What a kid offers its parent, keyed by restriction to the shared ground.
-
-    Each key maps to (count, map): the least budget map over the kid's
-    orderings with that restriction, less the count and step times of its
-    active members of paid_above, which the parent bag pays for.
-    """
+def _profile(table, s):
+    """What a kid offers its parent: per restriction to the shared ground,
+    the least budget map of the kid's orderings with that restriction.  The
+    maps hold only nodes whose top bag is in the kid's subtree."""
     prof = {}
-    for gamma, cost, bmap in zip(table.orderings, table.costs, table.maps):
-        key = _restrict(gamma, s)
-        paid = [x for x in key if x in paid_above]
-        sc = 0.0
-        for x in paid:
-            sc += cost[x]
-        cnt, least = prof.setdefault(key, (len(paid), {}))
+    for gamma, bmap in zip(table.orderings, table.maps):
+        least = prof.setdefault(_restrict(gamma, s), {})
         for k, v in bmap.items():
-            if v - sc < least.get(k - cnt, INF):
-                least[k - cnt] = v - sc
+            if v < least.get(k, INF):
+                least[k] = v
     return prof
 
 
-def _solve_bag(instance, td, t, tables, mode, force):
+def _solve_bag(instance, td, t, tables, force):
+    """Bag t's table; its orderings price only the members whose top bag is t."""
     net = instance.network
     members = td.bags[t]
     ground = _checked_ground(net, members, force)
-    kids = td.children(t)
+    p = td.parent(t)
+    top = members - td.bags[p] if p >= 0 else members
     shared = []
-    for c in kids:
+    for c in td.children(t):
         s = ground & tables[c].ground
-        shared.append((s, _profile(tables[c], s, members & tables[c].members)))
-    table = _BagTable(ground, members, kids, shared, [], [], [])
-    for gamma, keys in _orderings(net, members, ground, instance.seed, mode,
-                                  shared):
+        shared.append((s, _profile(tables[c], s)))
+    table = _BagTable(ground, shared, [], [], [])
+    for gamma, keys in _orderings(instance, members, ground, shared):
         mask = 0
         cost = {}
         for x in gamma:
-            if x in members:
+            if x in top:
                 cost[x] = 0.0 if x == instance.seed else _step_time_masked(
                     net, mask, x, instance.alpha, instance.beta)
             mask |= 1 << x
-        bmap = _chain(cost, [prof[key][1] for (_, prof), key
+        bmap = _chain(cost, [prof[key] for (_, prof), key
                              in zip(shared, keys)], instance.z)[-1]
         if bmap:
             table.orderings.append(gamma)
@@ -519,37 +475,35 @@ def _reconstruct(td, tables, z):
         gstar = _merge_ordering(gstar, gamma)
         known |= table.ground
         picks = [prof[_restrict(gamma, s)] for s, prof in table.shared]
-        chain = _chain(table.costs[bj], [pv for _, pv in picks], z)
+        chain = _chain(table.costs[bj], picks, z)
+        kids = td.children(t)
         for i in range(len(picks) - 1, -1, -1):
-            cnt, pv = picks[i]
+            pv = picks[i]
             prev = chain[i]
             bm = min((m for m in sorted(prev) if k - m in pv),
                      key=lambda m: prev[m] + pv[k - m], default=None)
             if bm is None:
                 raise RuntimeError("budget split lost during reconstruction")
-            budget[table.kids[i]] = k - bm + cnt
+            budget[kids[i]] = k - bm
             k = bm
         if k != len(table.costs[bj]):
             raise RuntimeError("budget not fully assigned")
     return gstar
 
 
-def _tw_solve(instance, td, mode, force):
-    check_instance(instance)
+def _tw_solve(instance, td, force, solver_name):
+    """The tree DP on a checked instance; solver_name labels the result."""
     net = instance.network
     if td is None:
         td = min_fill_decomposition(net)
     bad = validate_decomposition(net, td)
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-    if mode == "full" and instance.z != net.node_count:
-        raise ValueError("full-diffusion solver requires z = node_count")
     z = instance.z
-    solver_name = "tw-full" if mode == "full" else "tw-partial"
 
     tables = [None] * len(td.bags)
     for t in reversed(td.topdown()):
-        tables[t] = _solve_bag(instance, td, t, tables, mode, force)
+        tables[t] = _solve_bag(instance, td, t, tables, force)
     best = min((m.get(z, INF) for m in tables[td.root].maps), default=INF)
     if best == INF:
         return infeasible_result(instance.seed, solver_name)
@@ -569,11 +523,15 @@ def tw_full_optimal(instance: DiffusionInstance,
                     td: TreeDecomposition | None = None, *,
                     force: bool = False) -> SolveResult:
     """Optimal full diffusion along a tree decomposition (z = node_count)."""
-    return _tw_solve(instance, td, "full", force)
+    check_instance(instance)
+    if instance.z != instance.network.node_count:
+        raise ValueError("full-diffusion solver requires z = node_count")
+    return _tw_solve(instance, td, force, "tw-full")
 
 
 def tw_partial_optimal(instance: DiffusionInstance,
                        td: TreeDecomposition | None = None, *,
                        force: bool = False) -> SolveResult:
     """Optimal partial diffusion (any z) along a tree decomposition."""
-    return _tw_solve(instance, td, "partial", force)
+    check_instance(instance)
+    return _tw_solve(instance, td, force, "tw-partial")

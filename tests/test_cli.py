@@ -329,3 +329,12 @@ def test_console_script(tmp_path):
                           env=child_env(bin_dir))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solver"] == "greedy"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(stratdiff.__all__)) == len(stratdiff.__all__)
+    for name in stratdiff.__all__:
+        assert hasattr(stratdiff, name), name
+    scope = {}
+    exec("from stratdiff import *", scope)
+    assert set(stratdiff.__all__) <= set(scope)

@@ -252,3 +252,27 @@ def test_dp_memory_follows_reachable_states():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("inst", [
+    # the bound prunes most states; its pass sets each layer's peak
+    DiffusionInstance(random_connected(28, 0.3, rng_seed=28), 0, 14),
+    # at alpha = 0 every state ties with greedy and nothing is pruned
+    full_instance(random_connected(18, 0.3, rng_seed=18), alpha=0.0),
+], ids=["pruned", "unpruned"])
+def test_dp_memory_estimate_tracks_the_peak(monkeypatch, inst):
+    need = []
+    check = exact._check_layer
+
+    def spy(layer, candidates, kept, bytes_per_state, force):
+        need.append(bytes_per_state * (candidates + kept))
+        check(layer, candidates, kept, bytes_per_state, force)
+
+    monkeypatch.setattr(exact, "_check_layer", spy)
+    tracemalloc.start()
+    try:
+        exact._dp_layers(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= max(need) / peak <= 2.0

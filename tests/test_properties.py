@@ -1,12 +1,14 @@
 """Property tests: the exact solvers agree, every result is its replay,
-the two subset-DP kernels give identical results, binarising integer
-weights shifts the optimum by the rewritten weight, and the block split
-from every seed matches a brute-force cut-node reference.
+the two subset-DP kernels give identical results, tw_partial_optimal at
+z = n is tw_full_optimal, binarising integer weights shifts the optimum
+by the rewritten weight, and the block split from every seed matches a
+brute-force cut-node reference.
 
 Solver instances are small connected networks (2-8 nodes) whose weights
 include zeros, so unreachable nodes and infeasible targets are generated
-too; the block split runs on block chains and random networks of 1-14
-nodes.
+too, and whose nodes may carry external influence, as the block split's
+out-of-block weights do; the block split runs on block chains and random
+networks of 1-14 nodes.
 """
 
 import dataclasses
@@ -27,8 +29,9 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
 from stratdiff import decompose, exact  # noqa: E402
 from helpers import blocky_graph, dp_kernel_result  # noqa: E402
 
-WEIGHT = st.one_of(st.just(0.0), st.just(1.0),
-                   st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False))
+POSITIVE = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
+WEIGHT = st.one_of(st.just(0.0), st.just(1.0), POSITIVE)
+EXTERNAL = st.one_of(st.just(0.0), POSITIVE)
 
 
 @st.composite
@@ -40,7 +43,7 @@ def instances(draw):
     if others:
         pairs |= set(draw(st.lists(st.sampled_from(others), max_size=n)))
     edges = [(u, v, draw(WEIGHT), draw(WEIGHT)) for u, v in sorted(pairs)]
-    net = InfluenceNetwork(n, edges)
+    net = InfluenceNetwork(n, edges, [draw(EXTERNAL) for _ in range(n)])
     return DiffusionInstance(net, seed=draw(st.integers(0, n - 1)),
                              z=draw(st.integers(1, n)),
                              alpha=draw(st.sampled_from([0.5, 1.0])),
@@ -78,6 +81,13 @@ def test_every_result_is_its_replay(inst):
     for r in _results(inst):
         if r.feasible:
             assert r == sequence_time(inst, r.sequence, solver=r.solver)
+
+
+@given(instances())
+def test_tw_partial_at_full_z_is_tw_full(inst):
+    inst = dataclasses.replace(inst, z=inst.network.node_count)
+    assert tw_partial_optimal(inst) == dataclasses.replace(
+        tw_full_optimal(inst), solver="tw-partial")
 
 
 @given(instances(), st.sampled_from([0.0, 0.5, 1.0]))

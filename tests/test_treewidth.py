@@ -4,10 +4,11 @@ import random
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
-                       TreeDecomposition, bag_ground, compatible, dp_optimal,
-                       enumerate_admissible, load_td, min_fill_decomposition,
-                       save_td, sequence_time, tw_full_optimal,
-                       tw_partial_optimal, validate_decomposition)
+                       TreeDecomposition, bag_ground, dp_optimal, load_td,
+                       min_fill_decomposition, save_td, sequence_time,
+                       tw_full_optimal, tw_partial_optimal,
+                       validate_decomposition)
+from stratdiff import treewidth
 from helpers import full_instance, path_net, random_tree, theta2_graph
 
 
@@ -93,49 +94,36 @@ def test_min_fill_valid_on_random_graphs():
         assert validate_decomposition(net, td) == []
 
 
-def test_compatible_full():
-    assert compatible((1, 2, 3), (1, 3))
-    assert not compatible((1, 2, 3), (3, 1))
-    assert compatible((1, 2), (3, 4))
-
-
-def test_compatible_partial_checks_exclusions():
-    # node 3 visible to both: activated by one, skipped by the other
-    assert not compatible((1, 3), (1,), mode="partial",
-                          ground={1, 2, 3}, ground_p={1, 3})
-    assert compatible((1, 3), (1, 3), mode="partial",
-                      ground={1, 2, 3}, ground_p={1, 3})
-    # node 3 invisible to the second ordering: no disagreement
-    assert compatible((1, 3), (1,), mode="partial",
-                      ground={1, 2, 3}, ground_p={1, 2})
-    with pytest.raises(ValueError):
-        compatible((1,), (1,), mode="partial")
+def _admissible(bag, inst, kids=()):
+    """Admissible orderings of the bag's ground, as the tree DP sees them."""
+    ground = treewidth._checked_ground(inst.network, bag, False)
+    return tuple(g for g, _ in treewidth._orderings(inst, bag, ground, kids))
 
 
 def test_enumerate_admissible_seed_leads():
     net = path_net(2)
     inst = full_instance(net)
-    got = enumerate_admissible({0, 1}, inst, mode="full")
+    got = _admissible({0, 1}, inst)
     assert got == ((0, 1),)
 
 
 def test_enumerate_admissible_needs_preceding_neighbor():
     net = path_net(3)
-    inst = full_instance(net)
     # bag {2} has ground {1, 2}; 2 must come after its neighbor
-    got = enumerate_admissible({2}, inst, mode="full")
+    got = _admissible({2}, full_instance(net))
     assert got == ((1, 2),)
-    part = enumerate_admissible({2}, inst, mode="partial")
+    # below z = n the DP orders subsequences of the ground
+    part = _admissible({2}, DiffusionInstance(net, 0, 2))
     assert (1,) in part and () in part and (1, 2) in part
     assert (2,) not in part and (2, 1) not in part
 
 
 def test_enumerate_admissible_child_filter():
     net = path_net(3)
-    inst = full_instance(net)
-    # child insists 1 activates and 2 stays unactivated
-    got = enumerate_admissible({1}, inst, children=[({1, 2}, [(1,)])],
-                               mode="partial")
+    inst = DiffusionInstance(net, 0, 2)
+    # the kid's shared ground is {1, 2}; it insists 1 activates and 2
+    # stays unactivated
+    got = _admissible({1}, inst, kids=[(frozenset({1, 2}), {(1,)})])
     # ground of bag {1} is {0,1,2}; every surviving ordering must agree:
     # 1 right after 0, 2 never activated
     assert got == ((0, 1),)
@@ -143,9 +131,8 @@ def test_enumerate_admissible_child_filter():
 
 def test_enumerate_admissible_cap():
     net = InfluenceNetwork(11, [(0, i, 1, 1) for i in range(1, 11)])
-    inst = full_instance(net)
     with pytest.raises(SizeGuardError):
-        enumerate_admissible({0}, inst)
+        treewidth._checked_ground(net, {0}, False)
 
 
 def test_td_json_roundtrip(tmp_path):
