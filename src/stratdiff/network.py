@@ -378,14 +378,29 @@ def _net_to_dict(net: InfluenceNetwork) -> dict:
     return d
 
 
+def _json_number(value, where: str, what: str, integral: bool = False):
+    """value as a float, or an int when integral; a non-number, or a fraction
+    in an integer field, raises NetworkFormatError naming where and what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise NetworkFormatError(f"{where}: {what} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _net_from_dict(d: dict, where: str) -> InfluenceNetwork:
     try:
-        n = int(d["n"])
-        raw = d.get("edges", [])
+        n = _json_number(d["n"], where, "n", integral=True)
         ext = d.get("external")
-        edges = [(e["u"], e["v"], e["wuv"], e["wvu"]) for e in raw]
+        if ext is not None:
+            ext = [_json_number(x, where, f"external[{i}]") for i, x in enumerate(ext)]
+        edges = [(e["u"], e["v"], e["wuv"], e["wvu"]) for e in d.get("edges", [])]
     except (KeyError, TypeError) as exc:
         raise NetworkFormatError(f"{where}: missing or malformed field ({exc})") from exc
+    for i, rec in enumerate(edges):  # int ids and float weights need no second look
+        if tuple(map(type, rec)) != (int, int, float, float):
+            edges[i] = tuple(_json_number(x, where, f"edges[{i}].{f}", f in ("u", "v"))
+                             for f, x in zip(("u", "v", "wuv", "wvu"), rec))
     try:
         return InfluenceNetwork(n, edges, ext)
     except ValueError as exc:
@@ -465,13 +480,10 @@ def load_instance(path: str) -> DiffusionInstance:
         raise NetworkFormatError("instance files are JSON")
     d = _read_json(path)
     net = _net_from_dict(d, path)
-    try:
-        seed = int(d["seed"])
-        z = int(d["z"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"{path}: missing or malformed field ({exc})") from exc
-    alpha = float(d.get("alpha", 1.0))
-    beta = float(d.get("beta", 1.0))
+    seed = _json_number(d.get("seed"), path, "seed", integral=True)
+    z = _json_number(d.get("z"), path, "z", integral=True)
+    alpha = _json_number(d.get("alpha", 1.0), path, "alpha")
+    beta = _json_number(d.get("beta", 1.0), path, "beta")
     return DiffusionInstance(network=net, seed=seed, z=z, alpha=alpha, beta=beta)
 
 

@@ -6,9 +6,11 @@ bag member is fully determined by an ordering of that ground set.  One
 dynamic program serves both solvers.  Bottom-up, each bag keeps the
 admissible orderings its children can match on shared ground, each with a
 budget map {k: least time with k subtree nodes active} that folds in the
-children's maps.  Each node is counted and priced once, at its top bag:
-the bag whose parent does not hold it.  Top-down, the budget is split over
-the children and the chosen orderings are spliced into one global sequence.
+children's maps; a child's profile records which of its orderings reached
+each least value.  Each node is counted and priced once, at its top bag:
+the bag whose parent does not hold it.  Top-down, reconstruction reads the
+recorded choices back: each bag splits its budget over its children, takes
+their recorded orderings, and splices them into one global sequence.
 
 Both solvers run this DP, read at k = z; z also picks what each bag orders:
 permutations of its ground at z = node_count, subsequences below it.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       SizeGuardError, SolveResult, _read_json,
@@ -36,7 +39,7 @@ GROUND_CAP = 9
 class TreeDecomposition:
     """A rooted tree of bags.
 
-    bags[i] is a frozenset of node ids; edges are (a, b) pairs of bag
+    bags[i] is a frozenset of integer node ids; edges are (a, b) pairs of bag
     indices; root picks the bag the solvers orient from.  Child order is
     the edge input order, which only affects tie-breaking.
     """
@@ -46,9 +49,9 @@ class TreeDecomposition:
     root: int = 0
 
     def __init__(self, bags, edges=(), root: int = 0):
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in bags))
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in edges))
-        object.__setattr__(self, "root", int(root))
+        object.__setattr__(self, "bags", tuple(frozenset(map(index, b)) for b in bags))
+        object.__setattr__(self, "edges", tuple((index(a), index(b)) for a, b in edges))
+        object.__setattr__(self, "root", index(root))
 
     @property
     def width(self) -> int:
@@ -217,23 +220,19 @@ def _load_td_text(path: str) -> TreeDecomposition:
             if not ln or ln.startswith("c"):
                 continue
             parts = ln.split()
-            if parts[0] == "s":
-                if len(parts) < 3 or parts[1] != "td":
-                    raise NetworkFormatError(f"{path}:{lineno}: bad solution line")
-                nb = int(parts[2])
-            elif parts[0] == "b":
-                try:
-                    bid = int(parts[1]) - 1
-                    bags[bid] = frozenset(int(x) - 1 for x in parts[2:])
-                except ValueError as exc:
-                    raise NetworkFormatError(f"{path}:{lineno}: {exc}") from exc
-            else:
-                if len(parts) != 2:
-                    raise NetworkFormatError(f"{path}:{lineno}: bad edge line")
-                try:
+            try:
+                if parts[0] == "s":
+                    if len(parts) < 3 or parts[1] != "td":
+                        raise ValueError("bad solution line")
+                    nb = int(parts[2])
+                elif parts[0] == "b":
+                    bags[int(parts[1]) - 1] = frozenset(int(x) - 1 for x in parts[2:])
+                elif len(parts) == 2:
                     edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
-                except ValueError as exc:
-                    raise NetworkFormatError(f"{path}:{lineno}: {exc}") from exc
+                else:
+                    raise ValueError("bad edge line")
+            except (IndexError, ValueError) as exc:
+                raise NetworkFormatError(f"{path}:{lineno}: {exc}") from exc
     if nb is None:
         raise NetworkFormatError(f"{path}: missing 's td' line")
     return TreeDecomposition(bags=[bags.get(i, frozenset()) for i in range(nb)],
@@ -358,24 +357,21 @@ class _BagTable:
     ground: frozenset
     shared: list     # per kid, in td.children order: (shared ground, profile)
     orderings: list  # kept orderings, each with a nonempty budget map
-    costs: list      # per ordering: {top-bag member: step time}, in its order
+    bases: list      # per ordering: {top-bag count: summed step time}
     maps: list       # per ordering: budget map of the subtree's top-bag nodes
 
 
-def _chain(cost, profiles, cap):
+def _chain(base, profiles, cap):
     """Budget maps of one ordering: its bag alone, then each kid folded in.
 
     Each fold is a (min, +) convolution dropping counts above cap.
     """
-    total = 0.0
-    for c in cost.values():
-        total += c
-    acc = {len(cost): total} if total < INF and len(cost) <= cap else {}
+    acc = base
     chain = [acc]
     for pv in profiles:
         nxt = {}
         for m, a in acc.items():
-            for mm, b in pv.items():
+            for mm, (b, _) in pv.items():
                 k = m + mm
                 if k <= cap:
                     c = a + b
@@ -388,14 +384,16 @@ def _chain(cost, profiles, cap):
 
 def _profile(table, s):
     """What a kid offers its parent: per restriction to the shared ground,
-    the least budget map of the kid's orderings with that restriction.  The
-    maps hold only nodes whose top bag is in the kid's subtree."""
+    {k: (least value, index of the first kid ordering that reaches it)}
+    over the kid's orderings with that restriction.  The values count only
+    nodes whose top bag is in the kid's subtree."""
     prof = {}
-    for gamma, bmap in zip(table.orderings, table.maps):
+    for j, (gamma, bmap) in enumerate(zip(table.orderings, table.maps)):
         least = prof.setdefault(_restrict(gamma, s), {})
         for k, v in bmap.items():
-            if v < least.get(k, INF):
-                least[k] = v
+            e = least.get(k)
+            if e is None or v < e[0]:
+                least[k] = (v, j)
     return prof
 
 
@@ -412,18 +410,21 @@ def _solve_bag(instance, td, t, tables, force):
         shared.append((s, _profile(tables[c], s)))
     table = _BagTable(ground, shared, [], [], [])
     for gamma, keys in _orderings(instance, members, ground, shared):
-        mask = 0
-        cost = {}
+        mask = count = 0
+        total = 0.0
         for x in gamma:
             if x in top:
-                cost[x] = 0.0 if x == instance.seed else _step_time_masked(
-                    net, mask, x, instance.alpha, instance.beta)
+                count += 1
+                if x != instance.seed:
+                    total += _step_time_masked(net, mask, x, instance.alpha,
+                                               instance.beta)
             mask |= 1 << x
-        bmap = _chain(cost, [prof[key] for (_, prof), key
+        base = {count: total} if total < INF and count <= instance.z else {}
+        bmap = _chain(base, [prof[key] for (_, prof), key
                              in zip(shared, keys)], instance.z)[-1]
         if bmap:
             table.orderings.append(gamma)
-            table.costs.append(cost)
+            table.bases.append(base)
             table.maps.append(bmap)
     return table
 
@@ -449,44 +450,30 @@ def _merge_ordering(gstar, gamma):
     return out
 
 
-def _reconstruct(td, tables, z):
-    """Top-down: per bag, the least ordering for its budget that agrees with
-    the sequence so far, then the budget split over its kids."""
+def _reconstruct(td, tables, z, j):
+    """Top-down from root ordering j at budget z: each bag splits its budget
+    over its kids along its chain, and each kid takes the ordering its profile
+    recorded for that budget under the bag ordering's restriction.  No search:
+    a kid's ground meets earlier bags' grounds only inside its parent's."""
     gstar = []
-    known = frozenset()
-    budget = {td.root: z}
+    pick = {td.root: (z, j)}
     for t in td.topdown():
-        k = budget.get(t, 0)
+        k, j = pick.get(t, (0, -1))
         if k == 0:
             continue
         table = tables[t]
-        s_known = table.ground & known
-        want = _restrict(gstar, s_known)
-        bj = -1
-        bv = INF
-        for j, gamma in enumerate(table.orderings):
-            v = table.maps[j].get(k, INF)
-            if v < bv and _restrict(gamma, s_known) == want:
-                bv = v
-                bj = j
-        if bj < 0:
-            raise RuntimeError("no compatible ordering during reconstruction")
-        gamma = table.orderings[bj]
+        gamma = table.orderings[j]
         gstar = _merge_ordering(gstar, gamma)
-        known |= table.ground
-        picks = [prof[_restrict(gamma, s)] for s, prof in table.shared]
-        chain = _chain(table.costs[bj], picks, z)
-        kids = td.children(t)
-        for i in range(len(picks) - 1, -1, -1):
-            pv = picks[i]
-            prev = chain[i]
+        profs = [prof[_restrict(gamma, s)] for s, prof in table.shared]
+        chain = _chain(table.bases[j], profs, z)
+        for kid, pv, prev in reversed(list(zip(td.children(t), profs, chain))):
             bm = min((m for m in sorted(prev) if k - m in pv),
-                     key=lambda m: prev[m] + pv[k - m], default=None)
+                     key=lambda m: prev[m] + pv[k - m][0], default=None)
             if bm is None:
                 raise RuntimeError("budget split lost during reconstruction")
-            budget[kids[i]] = k - bm
+            pick[kid] = (k - bm, pv[k - bm][1])
             k = bm
-        if k != len(table.costs[bj]):
+        if k not in table.bases[j]:
             raise RuntimeError("budget not fully assigned")
     return gstar
 
@@ -504,11 +491,12 @@ def _tw_solve(instance, td, force, solver_name):
     tables = [None] * len(td.bags)
     for t in reversed(td.topdown()):
         tables[t] = _solve_bag(instance, td, t, tables, force)
-    best = min((m.get(z, INF) for m in tables[td.root].maps), default=INF)
+    best, j = min(((m.get(z, INF), j) for j, m in enumerate(tables[td.root].maps)),
+                  default=(INF, -1))
     if best == INF:
         return infeasible_result(instance.seed, solver_name)
 
-    gstar = _reconstruct(td, tables, z)
+    gstar = _reconstruct(td, tables, z, j)
     if len(gstar) != z:
         raise RuntimeError("reconstruction activated the wrong number of nodes")
     if gstar[0] != instance.seed:

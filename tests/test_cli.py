@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,42 @@ def test_solve_rejects_non_finite_weight(tmp_path, capsys):
     assert out == ""
     assert "invalid instance: non-finite weight inf on edge (0, 1) " \
         "direction 0->1" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", None), ("beta", "1"), ("seed", 0.9), ("z", "3"), ("n", 2.5),
+    ("edges[0].u", 1.7), ("edges[1].v", True), ("edges[0].wuv", None),
+    ("external[1]", None),
+])
+def test_solve_refuses_malformed_instance_field(tmp_path, capsys, field, value):
+    # a value of the wrong type or a fractional id names the file and the
+    # field; nothing is truncated into a different instance
+    p = write_instance(tmp_path, full_instance(path_net(3)))
+    d = json.loads(Path(p).read_text())
+    d["external"] = [0.0, 0.0, 0.0]
+    *outer, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
+    target = d
+    for k in outer:
+        target = target[k]
+    target[last] = value
+    Path(p).write_text(json.dumps(d))
+    code, out, err = run(capsys, "solve", p)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: {field} must be ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"root": 0, "bags": [[0, 1], [1, "a"]], "edges": [[0, 1]]}',
+    "s td x 2 3\nb 1 1 2\nb 2 2 3\n1 2\n",
+], ids=["json-bag", "td-header"])
+def test_solve_refuses_malformed_td_file(tmp_path, capsys, text):
+    p = write_instance(tmp_path, full_instance(path_net(3)))
+    tdp = tmp_path / ("dec.json" if text.startswith("{") else "dec.td")
+    tdp.write_text(text)
+    code, out, err = run(capsys, "solve", p, "--solver", "tw-full",
+                         "--td", str(tdp))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tdp}")
 
 
 def test_solve_treewidth_with_td_file(tmp_path, capsys):

@@ -210,6 +210,18 @@ def test_instance_roundtrip(tmp_path):
     assert back == inst
 
 
+def test_load_instance_takes_integral_floats(tmp_path):
+    inst = DiffusionInstance(path_net(4), seed=1, z=3, alpha=0.5, beta=0.75)
+    p = tmp_path / "inst.json"
+    save_instance(inst, str(p))
+    d = json.loads(p.read_text())
+    d.update(n=4.0, seed=1.0, z=3.0)
+    d["edges"][0]["u"] = 0.0
+    p.write_text(json.dumps(d))
+    back = load_instance(str(p))
+    assert back == inst and type(back.seed) is int and type(back.z) is int
+
+
 def test_probability_monotone_and_bounded():
     rng = random.Random(7)
     for _ in range(40):

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
-                       TreeDecomposition, bag_ground, dp_optimal, load_td,
-                       min_fill_decomposition, save_td, sequence_time,
-                       tw_full_optimal, tw_partial_optimal,
+from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
+                       SizeGuardError, TreeDecomposition, bag_ground,
+                       dp_optimal, load_td, min_fill_decomposition, save_td,
+                       sequence_time, tw_full_optimal, tw_partial_optimal,
                        validate_decomposition)
 from stratdiff import treewidth
-from helpers import full_instance, path_net, random_tree, theta2_graph
+from helpers import (full_instance, path_net, random_tree, star_net,
+                     theta2_graph)
 
 
 def path_td():
@@ -156,6 +157,28 @@ def test_td_pace_roundtrip(tmp_path):
         sorted(sorted(b) for b in td.bags)
     net = path_net(4)
     assert validate_decomposition(net, back) == []
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("dec.json", '{"root": 0, "bags": [[0, "a"]], "edges": []}', "dec.json"),
+    ("dec.json", '{"bags": [[0, 1], [1, 2]], "edges": [[0, 1.5]]}', "dec.json"),
+    ("dec.td", "s td x 2 2\nb 1 1 2\n", "dec.td:1"),
+    ("dec.td", "s td 1 2 2\nb\n", "dec.td:2"),
+    ("dec.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2 2\n", "dec.td:4"),
+])
+def test_load_td_refuses_malformed(tmp_path, name, text, where):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(NetworkFormatError) as exc:
+        load_td(str(p))
+    assert str(exc.value).startswith(f"{tmp_path / where}: ")
+
+
+def test_decomposition_node_ids_are_integers():
+    with pytest.raises(TypeError):
+        TreeDecomposition(bags=[{0, 1.0}])
+    with pytest.raises(TypeError):
+        TreeDecomposition(bags=[{0}, {0}], edges=[(0, "1")])
 
 
 def test_tw_full_path_matches_dp():
@@ -323,3 +346,22 @@ def test_tw_deterministic():
     assert tw_full_optimal(inst, td) == tw_full_optimal(inst, td)
     inst2 = DiffusionInstance(net, 0, 5)
     assert tw_partial_optimal(inst2, td) == tw_partial_optimal(inst2, td)
+
+
+CYCLE6 = InfluenceNetwork(6, [(i, (i + 1) % 6, 1.0, 1.0) for i in range(6)])
+
+
+@pytest.mark.parametrize("net, seed, want", [
+    (star_net(4), 0, (0, 1, 2, 3, 4)),
+    (star_net(4), 2, (2, 0, 1, 3, 4)),
+    (path_net(6), 2, (2, 1, 0, 3, 4, 5)),
+    (CYCLE6, 0, (0, 1, 2, 3, 4, 5)),
+], ids=["star-centre", "star-leaf", "path", "cycle"])
+def test_tw_tie_breaking_is_pinned(net, seed, want):
+    # Unit weights tie many orderings; each solve must return the same one
+    # of them, and the z-prefixes of the full order at every partial z.
+    n = net.node_count
+    assert tw_full_optimal(DiffusionInstance(net, seed, n)).sequence == want
+    for z in range(1, n + 1):
+        got = tw_partial_optimal(DiffusionInstance(net, seed, z)).sequence
+        assert got == want[:z]
