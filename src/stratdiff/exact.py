@@ -20,7 +20,8 @@ from .heuristics import greedy_sequence
 
 INF = math.inf
 
-BRUTE_NODE_CAP = 10
+# brute_force_optimal refuses more sequences than 9!, the count at n = 10
+BRUTE_SEQUENCE_BUDGET = math.factorial(9)
 # dp_optimal refuses a layer whose estimated memory passes this many bytes
 DP_MEMORY_BUDGET = 1 << 30
 # Bytes per state (a layer's candidates plus the states kept so far), from
@@ -38,18 +39,21 @@ def brute_force_optimal(instance: DiffusionInstance, *,
                         force: bool = False) -> SolveResult:
     """Exhaustive search over activation sequences.
 
-    Factorial time; refuses node_count > 10 unless force=True.  Among equal
-    optima the lexicographically smallest sequence wins.
+    Up to P(n - 1, z - 1) sequences; refuses more than
+    BRUTE_SEQUENCE_BUDGET unless force=True.  Among equal optima the
+    lexicographically smallest sequence wins.
     """
     check_instance(instance)
     net = instance.network
     n = net.node_count
-    if n > BRUTE_NODE_CAP and not force:
-        raise SizeGuardError(
-            f"brute force refused for n={n} > {BRUTE_NODE_CAP}: up to "
-            f"{n - 1}! sequences; pass force=True")
-
     z = instance.z
+    # past z = 11 the first ten factors alone pass the budget (10! > 9!)
+    sequences = math.perm(n - 1, min(z - 1, 10))
+    if sequences > BRUTE_SEQUENCE_BUDGET and not force:
+        raise SizeGuardError(
+            f"brute force refused for n={n}, z={z}: at least {sequences} "
+            f"sequences, above {BRUTE_SEQUENCE_BUDGET}; pass force=True")
+
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
     best_total = INF

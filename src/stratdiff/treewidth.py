@@ -12,10 +12,12 @@ the bag whose parent does not hold it.  Top-down, reconstruction reads the
 recorded choices back: each bag splits its budget over its children, takes
 their recorded orderings, and splices them into one global sequence.
 
-Both solvers run this DP, read at k = z; z also picks what each bag orders:
-permutations of its ground at z = node_count, subsequences below it.
-tw_full_optimal accepts only z = node_count.  Both refuse a ground of
-g > GROUND_CAP nodes, on the order of g! orderings, unless force=True.
+Both solvers run this DP, read at k = z.  Every bag orders its ground by
+one rule that the restriction of any z-sequence obeys, and prices each
+ordering while the search builds it (see _orderings); at z = node_count
+the rule leaves only permutations.  tw_full_optimal accepts only
+z = node_count.  Both refuse a ground of g > GROUND_CAP nodes, on the
+order of g! orderings, unless force=True.
 """
 
 from __future__ import annotations
@@ -222,11 +224,20 @@ def _load_td_text(path: str) -> TreeDecomposition:
             parts = ln.split()
             try:
                 if parts[0] == "s":
+                    if nb is not None:
+                        raise ValueError("second 's td' line")
                     if len(parts) < 3 or parts[1] != "td":
                         raise ValueError("bad solution line")
                     nb = int(parts[2])
                 elif parts[0] == "b":
-                    bags[int(parts[1]) - 1] = frozenset(int(x) - 1 for x in parts[2:])
+                    k = int(parts[1])
+                    if nb is None:
+                        raise ValueError("'b' line before the 's td' line")
+                    if not 1 <= k <= nb:
+                        raise ValueError(f"bag id {k} outside 1..{nb}")
+                    if k - 1 in bags:
+                        raise ValueError(f"bag {k} given twice")
+                    bags[k - 1] = frozenset(int(x) - 1 for x in parts[2:])
                 elif len(parts) == 2:
                     edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
                 else:
@@ -235,8 +246,10 @@ def _load_td_text(path: str) -> TreeDecomposition:
                 raise NetworkFormatError(f"{path}:{lineno}: {exc}") from exc
     if nb is None:
         raise NetworkFormatError(f"{path}: missing 's td' line")
-    return TreeDecomposition(bags=[bags.get(i, frozenset()) for i in range(nb)],
-                             edges=edges, root=0)
+    for i in range(nb):
+        if i not in bags:
+            raise NetworkFormatError(f"{path}: no 'b' line for bag {i + 1}")
+    return TreeDecomposition(bags=[bags[i] for i in range(nb)], edges=edges, root=0)
 
 
 def save_td(td: TreeDecomposition, path: str):
@@ -287,28 +300,30 @@ def _checked_ground(net, bag, force):
     return ground
 
 
-def _orderings(instance, bag, ground, kids=()):
-    """Admissible orderings of the ground set, lexicographic.
+def _orderings(instance, bag, top, ground, kids=()):
+    """Admissible orderings of the ground set, lexicographic, each priced.
 
-    Constraints: the seed leads whenever it belongs to the bag, and every
-    non-seed bag member is preceded by one of its neighbors.  The instance's
-    z decides what is enumerated: at z = node_count every node ends up
-    active, so only permutations of the ground are yielded; below it,
-    every admissible ordered subsequence (including the empty one when the
-    seed is not a bag member).
+    One rule holds for the restriction of every z-sequence to a ground of
+    g nodes: the seed leads whenever it is in the ground, every non-seed
+    bag member follows one of its neighbors, and between g - (n - z) and
+    min(g, z) nodes are ordered, as z nodes activate and n - z do not.  At
+    z = node_count the rule leaves only permutations.
 
     kids holds (shared ground, keys) pairs.  Each ordering comes with its
     restriction to every shared ground and is kept only when each
     restriction is one of that kid's keys; the search leaves a branch as
-    soon as a restriction is no prefix of any key.
+    soon as a restriction is no prefix of any key.  Each ordering also
+    comes with its count of top members and their step times summed in
+    order, the seed's excluded; a branch ends at its first infinite step.
     """
     net = instance.network
-    seed = instance.seed
+    seed, alpha, beta = instance.seed, instance.alpha, instance.beta
     elems = sorted(ground)
     bagset = frozenset(bag)
     nbr = net._neighbor_mask
-    lead = seed in bagset
-    partial = instance.z < net.node_count
+    lead = seed in ground
+    lo = max(len(elems) - (net.node_count - instance.z), lead)
+    hi = min(len(elems), instance.z)
     keysets = [keys for _, keys in kids]
     prefixes = [{key[:i] for key in keys for i in range(len(key) + 1)}
                 for keys in keysets]
@@ -316,13 +331,11 @@ def _orderings(instance, bag, ground, kids=()):
     out = []
     cur = []
 
-    def dfs(placed_mask, rest):
-        if partial or len(cur) == len(elems):
-            if (cur or not lead) and \
-                    all(r in keys for r, keys in zip(rest, keysets)):
-                out.append((tuple(cur), rest))
-            if not partial:
-                return
+    def dfs(placed_mask, rest, count, total):
+        if len(cur) >= lo and all(r in keys for r, keys in zip(rest, keysets)):
+            out.append((tuple(cur), rest, count, total))
+        if len(cur) == hi:
+            return
         for v in elems:
             bit = 1 << v
             if placed_mask & bit:
@@ -338,11 +351,16 @@ def _orderings(instance, bag, ground, kids=()):
                     break
                 nxt = nxt[:i] + (r,) + nxt[i + 1:]
             else:
+                tot = total
+                if v in top and v != seed:
+                    tot += _step_time_masked(net, placed_mask, v, alpha, beta)
+                    if tot == INF:
+                        continue
                 cur.append(v)
-                dfs(placed_mask | bit, nxt)
+                dfs(placed_mask | bit, nxt, count + (v in top), tot)
                 cur.pop()
 
-    dfs(0, ((),) * len(kids))
+    dfs(0, ((),) * len(kids), 0, 0.0)
     return out
 
 
@@ -398,7 +416,7 @@ def _profile(table, s):
 
 
 def _solve_bag(instance, td, t, tables, force):
-    """Bag t's table; its orderings price only the members whose top bag is t."""
+    """Bag t's table; _orderings prices only the members whose top bag is t."""
     net = instance.network
     members = td.bags[t]
     ground = _checked_ground(net, members, force)
@@ -409,17 +427,9 @@ def _solve_bag(instance, td, t, tables, force):
         s = ground & tables[c].ground
         shared.append((s, _profile(tables[c], s)))
     table = _BagTable(ground, shared, [], [], [])
-    for gamma, keys in _orderings(instance, members, ground, shared):
-        mask = count = 0
-        total = 0.0
-        for x in gamma:
-            if x in top:
-                count += 1
-                if x != instance.seed:
-                    total += _step_time_masked(net, mask, x, instance.alpha,
-                                               instance.beta)
-            mask |= 1 << x
-        base = {count: total} if total < INF and count <= instance.z else {}
+    for gamma, keys, count, total in _orderings(instance, members, top,
+                                                ground, shared):
+        base = {count: total}
         bmap = _chain(base, [prof[key] for (_, prof), key
                              in zip(shared, keys)], instance.z)[-1]
         if bmap:

@@ -152,7 +152,9 @@ def test_solve_refuses_malformed_instance_field(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("text", [
     '{"root": 0, "bags": [[0, 1], [1, "a"]], "edges": [[0, 1]]}',
     "s td x 2 3\nb 1 1 2\nb 2 2 3\n1 2\n",
-], ids=["json-bag", "td-header"])
+    "s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n",
+    "s td 2 2 3\nb 1 1 2\n1 2\n",
+], ids=["json-bag", "td-header", "td-bag-twice", "td-bag-missing"])
 def test_solve_refuses_malformed_td_file(tmp_path, capsys, text):
     p = write_instance(tmp_path, full_instance(path_net(3)))
     tdp = tmp_path / ("dec.json" if text.startswith("{") else "dec.td")

@@ -46,6 +46,17 @@ def test_brute_force_guard():
     assert res.total_time == 2.0 * 9 + 1.0
 
 
+def test_brute_force_guard_counts_sequences():
+    # P(24, 4) = 255,024 sequences: admitted at 25 nodes
+    inst = DiffusionInstance(random_connected(25, 0.3, rng_seed=25), 0, 5)
+    b = brute_force_optimal(inst)
+    assert abs(b.total_time - dp_optimal(inst).total_time) <= 1e-9
+    # P(11, 8) = 6,652,800 sequences: refused at 12 nodes
+    inst = DiffusionInstance(random_connected(12, 0.3, rng_seed=12), 0, 9)
+    with pytest.raises(SizeGuardError, match="above 362880"):
+        brute_force_optimal(inst)
+
+
 def test_dp_memory_guard(monkeypatch):
     # the guard counts states, not nodes: a path holds one per layer
     assert dp_optimal(full_instance(path_net(29))).feasible

@@ -9,6 +9,7 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        sequence_time, tw_full_optimal, tw_partial_optimal,
                        validate_decomposition)
 from stratdiff import treewidth
+from stratdiff.network import _step_time_masked
 from helpers import (full_instance, path_net, random_tree, star_net,
                      theta2_graph)
 
@@ -98,7 +99,8 @@ def test_min_fill_valid_on_random_graphs():
 def _admissible(bag, inst, kids=()):
     """Admissible orderings of the bag's ground, as the tree DP sees them."""
     ground = treewidth._checked_ground(inst.network, bag, False)
-    return tuple(g for g, _ in treewidth._orderings(inst, bag, ground, kids))
+    return tuple(g for g, _, _, _ in
+                 treewidth._orderings(inst, bag, frozenset(bag), ground, kids))
 
 
 def test_enumerate_admissible_seed_leads():
@@ -113,10 +115,52 @@ def test_enumerate_admissible_needs_preceding_neighbor():
     # bag {2} has ground {1, 2}; 2 must come after its neighbor
     got = _admissible({2}, full_instance(net))
     assert got == ((1, 2),)
-    # below z = n the DP orders subsequences of the ground
+    # at z = 2 one of the three nodes stays inactive, so an ordering of
+    # the ground {1, 2} holds one or both of its nodes
     part = _admissible({2}, DiffusionInstance(net, 0, 2))
-    assert (1,) in part and () in part and (1, 2) in part
+    assert (1,) in part and () not in part and (1, 2) in part
     assert (2,) not in part and (2, 1) not in part
+
+
+def test_orderings_obey_the_rule_at_every_z():
+    # each ordering could be the restriction of a z-sequence to its ground,
+    # and comes priced as a replay of its top members prices it
+    for s in range(40):
+        rng = random.Random(500 + s)
+        n = rng.randrange(2, 8)
+        net = (random_tree(n, rng, lo=0, hi=2, integer=True) if s % 2
+               else theta2_graph(n, rng))
+        seed = rng.randrange(n)
+        td = min_fill_decomposition(net)
+        for z in range(1, n + 1):
+            inst = DiffusionInstance(net, seed, z, rng.choice((1.0, 0.5)))
+            for t, bag in enumerate(td.bags):
+                p = td.parent(t)
+                top = bag - td.bags[p] if p >= 0 else bag
+                ground = bag_ground(net, bag)
+                g = len(ground)
+                for gamma, _, count, total in treewidth._orderings(
+                        inst, bag, top, ground):
+                    assert g - (n - z) <= len(gamma) <= min(g, z)
+                    if seed in ground:
+                        assert gamma[0] == seed
+                    mask, want = 0, 0.0
+                    for x in gamma:
+                        if x in top and x != seed:
+                            want += _step_time_masked(net, mask, x,
+                                                      inst.alpha, inst.beta)
+                        mask |= 1 << x
+                    assert count == len(top.intersection(gamma))
+                    assert total == want < math.inf
+
+
+def test_orderings_stop_at_z_nodes():
+    # on a 20-node path seeded at one end, no bag orders more than z nodes
+    net = path_net(20)
+    inst = DiffusionInstance(net, 0, 3)
+    for bag in min_fill_decomposition(net).bags:
+        got = _admissible(bag, inst)
+        assert max(map(len, got), default=0) <= 3
 
 
 def test_enumerate_admissible_child_filter():
@@ -165,6 +209,11 @@ def test_td_pace_roundtrip(tmp_path):
     ("dec.td", "s td x 2 2\nb 1 1 2\n", "dec.td:1"),
     ("dec.td", "s td 1 2 2\nb\n", "dec.td:2"),
     ("dec.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2 2\n", "dec.td:4"),
+    ("dec.td", "s td 1 2 3\nb 1 1 2\nb 5 2 3\n", "dec.td:3"),
+    ("dec.td", "b 1 1 2\ns td 1 2 2\n", "dec.td:1"),
+    ("dec.td", "s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n", "dec.td:3"),
+    ("dec.td", "s td 1 2 2\nb 1 1 2\ns td 2 2 2\n", "dec.td:3"),
+    ("dec.td", "s td 2 2 3\nb 1 1 2\n1 2\n", "dec.td"),
 ])
 def test_load_td_refuses_malformed(tmp_path, name, text, where):
     p = tmp_path / name
@@ -172,6 +221,12 @@ def test_load_td_refuses_malformed(tmp_path, name, text, where):
     with pytest.raises(NetworkFormatError) as exc:
         load_td(str(p))
     assert str(exc.value).startswith(f"{tmp_path / where}: ")
+
+
+def test_load_td_keeps_explicit_empty_bag(tmp_path):
+    p = tmp_path / "dec.td"
+    p.write_text("s td 2 2 3\nb 1 1 2\nb 2\n1 2\n")
+    assert load_td(str(p)).bags == (frozenset({0, 1}), frozenset())
 
 
 def test_decomposition_node_ids_are_integers():
