@@ -13,17 +13,15 @@ import math
 
 import numpy as np
 
-from .network import (DiffusionInstance, SizeGuardError, SolveResult,
-                      _step_time_masked, _step_times_masked, check_instance,
-                      infeasible_result, sequence_time)
+from .network import (DP_MEMORY_BUDGET, DiffusionInstance, SizeGuardError,
+                      SolveResult, _step_time_masked, _step_times_masked,
+                      check_instance, infeasible_result, sequence_time)
 from .heuristics import greedy_sequence
 
 INF = math.inf
 
 # brute_force_optimal refuses more sequences than 9!, the count at n = 10
 BRUTE_SEQUENCE_BUDGET = math.factorial(9)
-# dp_optimal refuses a layer whose estimated memory passes this many bytes
-DP_MEMORY_BUDGET = 1 << 30
 # Bytes per state (a layer's candidates plus the states kept so far), from
 # tracemalloc peaks of random_connected(n, 0.3) solves; see CHANGES.md
 _ARRAY_BYTES_PER_STATE = 14

@@ -1,14 +1,19 @@
 """Baseline sequence heuristics.
 
 greedy picks the node with the highest activation probability each step;
-majority picks the node with the most active neighbors.  Both are fast and
-can be arbitrarily far from optimal: on the layered grid instances from
-generators.make_gk their totals grow like k^2 * H_k against an optimal of
-order k^2, which strategy_a_gk realizes.
+majority picks the node with the most active neighbors.  Both keep a
+frontier of activatable nodes in a heap keyed (-score, id) and re-price
+only the last activated node's neighbours, so a run costs O(z * deg *
+log n).  Ties go to the smallest id; with an rng, rng.choice draws from
+the tied nodes in ascending id order.  Both can be arbitrarily far from
+optimal: on the layered grid instances from generators.make_gk their
+totals grow like k^2 * H_k against an optimal of order k^2, which
+strategy_a_gk realizes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .network import (DiffusionInstance, SolveResult, _step_time_masked,
@@ -20,23 +25,30 @@ INF = math.inf
 def _run(instance: DiffusionInstance, pick, name, rng):
     check_instance(instance)
     net = instance.network
-    n = net.node_count
     seq = [instance.seed]
     mask = 1 << instance.seed
+    key, heap = {}, []  # -score of each frontier node, and a heap over it
     for _ in range(instance.z - 1):
-        cands = []
-        for i in range(n):
-            if (mask >> i) & 1:
-                continue
-            st = _step_time_masked(net, mask, i, instance.alpha, instance.beta)
-            if st < INF:
-                cands.append((i, st))
-        if not cands:
+        # A score reads only its node's neighbours: re-price the last one's
+        for i in net.neighbors(seq[-1]):
+            if not (mask >> i) & 1:
+                st = _step_time_masked(net, mask, i, instance.alpha, instance.beta)
+                if st < INF:
+                    key[i] = k = -pick(i, st, mask)
+                    heapq.heappush(heap, (k, i))
+        tied = []  # best score, ascending id; skip stale and repeated entries
+        while heap and (not tied or heap[0][0] == key[tied[0]]):
+            k, i = heapq.heappop(heap)
+            if key.get(i) == k and (not tied or tied[-1] != i):
+                tied.append(i)
+                if rng is None:
+                    break
+        if not tied:
             return infeasible_result(instance.seed, name)
-        score = {i: pick(i, st, mask) for i, st in cands}
-        best = max(score.values())
-        tied = [i for i, _ in cands if score[i] == best]
         choice = tied[0] if rng is None else rng.choice(tied)
+        for i in tied:  # the choice's entry goes stale with its key
+            heapq.heappush(heap, (key[i], i))
+        del key[choice]
         seq.append(choice)
         mask |= 1 << choice
     return sequence_time(instance, seq, solver=name)

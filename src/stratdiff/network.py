@@ -25,6 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+# dp_optimal refuses a DP layer, and InfluenceNetwork a node count, whose
+# estimated bytes pass this; a node costs _NODE_BYTES (tracemalloc peak of
+# building an edgeless network)
+DP_MEMORY_BUDGET = 1 << 30
+_NODE_BYTES = 112
 
 
 class NetworkFormatError(ValueError):
@@ -57,7 +62,8 @@ class InfluenceNetwork:
     edges is an iterable of (u, v, w_uv, w_vu) records; w_uv is the influence
     u exerts on v.  Records are normalized so u < v and sorted.  The
     constructor rejects structural breakage (self-loops, duplicate pairs,
-    out-of-range ids); value-level problems such as negative weights are
+    out-of-range ids) and a node count whose per-node storage would pass
+    DP_MEMORY_BUDGET; value-level problems such as negative weights are
     tolerated here and reported by validate().
     """
 
@@ -67,6 +73,11 @@ class InfluenceNetwork:
     def __init__(self, node_count: int, edges=(), external_influence=None):
         if node_count < 1:
             raise ValueError("node_count must be positive")
+        if node_count * _NODE_BYTES > DP_MEMORY_BUDGET:
+            raise ValueError(
+                f"node_count {node_count:,} needs about "
+                f"{node_count * _NODE_BYTES / 2**20:,.0f} MiB of per-node storage, "
+                f"over the {DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget")
         if external_influence is None:
             ext = (0.0,) * node_count
         else:

@@ -22,6 +22,7 @@ order of g! orderings, unless force=True.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,43 +143,45 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
     return out
 
 
+def _fill(adj, v) -> int:
+    """Edges that eliminating v would add: non-adjacent pairs of neighbours."""
+    nb = adj[v]
+    return sum(len(nb - adj[a]) - 1 for a in nb) // 2
+
+
 def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
     """Heuristic decomposition by min-fill elimination.
 
-    Each eliminated vertex yields the bag of itself plus its current
+    Each step eliminates the vertex of least fill, the smallest id among
+    ties.  Each eliminated vertex yields the bag of itself plus its current
     neighbors; a bag's parent is the bag of the first-eliminated other
     member.  Exact on trees (width 1); small widths on sparse graphs.
+    Fills sit in a heap keyed (fill, id), and an elimination re-counts only
+    its neighbours and theirs, so on graphs of bounded degree (and width)
+    the cost is O(n log n).
     """
     n = net.node_count
     adj = [set(net.neighbors(i)) for i in range(n)]
-    remaining = set(range(n))
-    bags = []
-    elim = []
-    for _ in range(n):
-        best_v = -1
-        best_fill = None
-        for v in sorted(remaining):
-            nb = adj[v]
-            fill = 0
-            nbl = sorted(nb)
-            for i, a in enumerate(nbl):
-                for b in nbl[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        v = best_v
-        nbl = sorted(adj[v])
-        bags.append(frozenset([v] + nbl))
+    fill = [_fill(adj, v) for v in range(n)]
+    heap = sorted(zip(fill, range(n)))  # a sorted list is a heap
+    bags, elim = [], []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if fill[v] != f:  # eliminated, or re-counted since it was pushed
+            continue
+        fill[v] = -1
+        nb = adj[v]
+        bags.append(frozenset(nb | {v}))
         elim.append(v)
-        for i, a in enumerate(nbl):
-            for b in nbl[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nbl:
-            adj[a].discard(v)
-        remaining.remove(v)
+        for a in nb:
+            adj[a] |= nb
+            adj[a] -= {a, v}
+        # Only these vertices' neighbourhoods, or edges among them, changed
+        for u in nb.union(*(adj[a] for a in nb)):
+            f = _fill(adj, u)
+            if f != fill[u]:
+                fill[u] = f
+                heapq.heappush(heap, (f, u))
 
     pos = {v: i for i, v in enumerate(elim)}
     edges = []

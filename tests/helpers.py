@@ -1,10 +1,12 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders, and reference implementations, for the test suite."""
 
 import itertools
+import math
 import random
 
-from stratdiff import (DiffusionInstance, InfluenceNetwork, infeasible_result,
-                       sequence_time)
+from stratdiff import (DiffusionInstance, InfluenceNetwork, TreeDecomposition,
+                       check_instance, infeasible_result, sequence_time)
+from stratdiff.network import _step_time_masked
 
 
 def connected_unit_graphs(max_n):
@@ -131,3 +133,81 @@ def dp_kernel_result(kernel, inst):
     if seq is None:
         return infeasible_result(inst.seed, "dp")
     return sequence_time(inst, seq, solver="dp")
+
+
+def reference_min_fill(net):
+    """Min-fill elimination that rescans every remaining vertex each step:
+    the O(n^2)-per-step reference for treewidth.min_fill_decomposition."""
+    n = net.node_count
+    adj = [set(net.neighbors(i)) for i in range(n)]
+    remaining = set(range(n))
+    bags = []
+    elim = []
+    for _ in range(n):
+        best_v = -1
+        best_fill = None
+        for v in sorted(remaining):
+            nbl = sorted(adj[v])
+            fill = 0
+            for i, a in enumerate(nbl):
+                for b in nbl[i + 1:]:
+                    if b not in adj[a]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_fill = fill
+                best_v = v
+        v = best_v
+        nbl = sorted(adj[v])
+        bags.append(frozenset([v] + nbl))
+        elim.append(v)
+        for i, a in enumerate(nbl):
+            for b in nbl[i + 1:]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nbl:
+            adj[a].discard(v)
+        remaining.remove(v)
+    pos = {v: i for i, v in enumerate(elim)}
+    edges = []
+    for i in range(n - 1):
+        others = bags[i] - {elim[i]}
+        parent = min(pos[x] for x in others) if others else n - 1
+        edges.append((i, parent))
+    return TreeDecomposition(bags=bags, edges=edges, root=n - 1)
+
+
+def _reference_run(instance, pick, name, rng):
+    """Score every inactive node at every step: the full-scan reference for
+    heuristics._run."""
+    check_instance(instance)
+    net = instance.network
+    seq = [instance.seed]
+    mask = 1 << instance.seed
+    for _ in range(instance.z - 1):
+        cands = []
+        for i in range(net.node_count):
+            if (mask >> i) & 1:
+                continue
+            st = _step_time_masked(net, mask, i, instance.alpha, instance.beta)
+            if st < math.inf:
+                cands.append((i, st))
+        if not cands:
+            return infeasible_result(instance.seed, name)
+        score = {i: pick(i, st, mask) for i, st in cands}
+        best = max(score.values())
+        tied = [i for i, _ in cands if score[i] == best]
+        choice = tied[0] if rng is None else rng.choice(tied)
+        seq.append(choice)
+        mask |= 1 << choice
+    return sequence_time(instance, seq, solver=name)
+
+
+def reference_greedy(instance, rng=None):
+    return _reference_run(instance, lambda i, st, mask: -st, "greedy", rng)
+
+
+def reference_majority(instance, rng=None):
+    net = instance.network
+    return _reference_run(
+        instance, lambda i, st, mask: (net.neighbor_mask(i) & mask).bit_count(),
+        "majority", rng)

@@ -360,6 +360,16 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["total_time"] == 3.0
 
 
+def test_solve_refuses_huge_node_count(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": 10000000000, "seed": 0, "z": 1}')
+    proc = subprocess.run([sys.executable, "-m", "stratdiff", "solve", str(p)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {p}: node_count 10,000,000,000 ")
+    assert "MiB budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_console_script(tmp_path):
     p = write_instance(tmp_path, full_instance(path_net(3)))
     bin_dir = write_console_script(tmp_path / "bin", "stratdiff")

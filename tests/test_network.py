@@ -202,6 +202,22 @@ def test_load_reports_location(tmp_path):
     assert len(problems) == 1 and "-2.0" in problems[0]
 
 
+@pytest.mark.parametrize("name, text", [
+    ("huge.json", '{"n": 10000000000, "seed": 0, "z": 1}'),
+    ("huge.txt", "10000000000 0\n"),
+])
+def test_load_refuses_node_count_over_the_memory_budget(tmp_path, name, text):
+    # refused before any per-node allocation, naming the file, the count,
+    # the estimate and the budget, not a MemoryError
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(NetworkFormatError) as exc:
+        (load_instance if name == "huge.json" else load)(str(p))
+    assert str(exc.value) == (
+        f"{p}: node_count 10,000,000,000 needs about 1,068,115 MiB of "
+        "per-node storage, over the 1,024 MiB budget")
+
+
 def test_instance_roundtrip(tmp_path):
     inst = DiffusionInstance(path_net(4), seed=1, z=3, alpha=0.5, beta=0.75)
     p = str(tmp_path / "inst.json")
