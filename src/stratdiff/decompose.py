@@ -15,16 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
-                      check_instance, infeasible_result, sequence_time)
+                      _induced, check_instance, infeasible_result,
+                      sequence_time)
 
 
 def _blocks(net: InfluenceNetwork, root: int):
     """Blocks of a connected network from one Tarjan DFS rooted at root.
 
-    Returns (blocks, cut_nodes): blocks is a list of (sorted nodes, edge
-    records, entry) in the order the DFS closes them, entry being the block's
-    node nearest the root, so every block closes before the block holding
-    its entry.  Raises ValueError when the network is disconnected.
+    Returns (blocks, cut_nodes): blocks is a list of (sorted nodes, entry)
+    in the order the DFS closes them, entry being the block's node nearest
+    the root, so every block closes before the block holding its entry.
+    Raises ValueError when the network is disconnected.
     """
     n = net.node_count
     adj = [[] for _ in range(n)]  # ascending neighbours, as net.edges is sorted
@@ -71,7 +72,7 @@ def _blocks(net: InfluenceNetwork, root: int):
                     recs = estack[mark[v]:]
                     del estack[mark[v]:]
                     nodes = sorted({x for rec in recs for x in rec[:2]})
-                    blocks.append((nodes, recs, u))
+                    blocks.append((nodes, u))
                     if u != root:
                         cuts.add(u)
     if timer != n:
@@ -89,7 +90,7 @@ def biconnected_components(net: InfluenceNetwork):
     has no blocks.  Raises ValueError when the network is disconnected.
     """
     blocks, cuts = _blocks(net, 0)
-    return [frozenset(nodes) for nodes, _, _ in blocks], cuts
+    return [frozenset(nodes) for nodes, _ in blocks], cuts
 
 
 @dataclass(frozen=True)
@@ -108,29 +109,16 @@ def component_instances(instance: DiffusionInstance):
     them, so every block's entry node is activated by an earlier block.
     Out-of-block incoming weights become external influence.
     """
-    net = instance.network
-    n = net.node_count
+    n = instance.network.node_count
     if instance.z != n:
         raise ValueError("decomposition applies to full diffusion only (z = node_count)")
     if n == 1:
         return [ComponentInstance(instance=instance, to_global=(instance.seed,),
                                   entry=instance.seed)]
-    blocks, _ = _blocks(net, instance.seed)
     out = []
-    for blk, recs, entry in reversed(blocks):
-        local = {g: i for i, g in enumerate(blk)}
-        edges = [(local[u], local[v], wuv, wvu) for u, v, wuv, wvu in recs]
-        ext = []
-        for g in blk:
-            d = net.external_influence[g]
-            for j, wjg in net.incoming(g):
-                if j not in local:
-                    d += wjg
-            ext.append(d)
-        sub = InfluenceNetwork(len(blk), edges, ext)
-        inst = DiffusionInstance(network=sub, seed=local[entry], z=len(blk),
-                                 alpha=instance.alpha, beta=instance.beta)
-        out.append(ComponentInstance(instance=inst, to_global=tuple(blk), entry=entry))
+    for blk, entry in reversed(_blocks(instance.network, instance.seed)[0]):
+        inst, to_global = _induced(instance, blk, entry, len(blk))
+        out.append(ComponentInstance(instance=inst, to_global=to_global, entry=entry))
     return out
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
-# dp_optimal refuses a DP layer, and InfluenceNetwork a node count, whose
+# dp_optimal refuses a DP layer, and InfluenceNetwork a network, whose
 # estimated bytes pass this; a node costs _NODE_BYTES (tracemalloc peak of
-# building an edgeless network)
+# building an edgeless network) plus its neighbour mask
 DP_MEMORY_BUDGET = 1 << 30
 _NODE_BYTES = 112
 
@@ -62,9 +62,9 @@ class InfluenceNetwork:
     edges is an iterable of (u, v, w_uv, w_vu) records; w_uv is the influence
     u exerts on v.  Records are normalized so u < v and sorted.  The
     constructor rejects structural breakage (self-loops, duplicate pairs,
-    out-of-range ids) and a node count whose per-node storage would pass
-    DP_MEMORY_BUDGET; value-level problems such as negative weights are
-    tolerated here and reported by validate().
+    out-of-range ids) and a node count whose per-node storage, neighbour
+    masks included, would pass DP_MEMORY_BUDGET; value-level problems such
+    as negative weights are tolerated here and reported by validate().
     """
 
     __slots__ = ("node_count", "edges", "external_influence", "total_influence",
@@ -73,18 +73,6 @@ class InfluenceNetwork:
     def __init__(self, node_count: int, edges=(), external_influence=None):
         if node_count < 1:
             raise ValueError("node_count must be positive")
-        if node_count * _NODE_BYTES > DP_MEMORY_BUDGET:
-            raise ValueError(
-                f"node_count {node_count:,} needs about "
-                f"{node_count * _NODE_BYTES / 2**20:,.0f} MiB of per-node storage, "
-                f"over the {DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget")
-        if external_influence is None:
-            ext = (0.0,) * node_count
-        else:
-            ext = tuple(float(x) for x in external_influence)
-            if len(ext) != node_count:
-                raise ValueError("external_influence length must equal node_count")
-
         records = []
         seen = set()
         for rec in edges:
@@ -102,6 +90,26 @@ class InfluenceNetwork:
             seen.add((u, v))
             records.append((u, v, float(wuv), float(wvu)))
         records.sort(key=lambda r: (r[0], r[1]))
+        # a node's mask takes 28 bytes plus 4 per 30 bits of its largest
+        # neighbour, read off the last sorted record holding it first, if
+        # any, else the last holding it second; skipped when masks as long
+        # as the node count would fit
+        need = node_count * _NODE_BYTES
+        if need + node_count * (28 + node_count // 30 * 4) > DP_MEMORY_BUDGET:
+            top = {v: u for u, v, _, _ in records}
+            top.update({u: v for u, v, _, _ in records})
+            need += sum(28 + t // 30 * 4 for t in top.values())
+        if need > DP_MEMORY_BUDGET:
+            raise ValueError(
+                f"node_count {node_count:,} needs about {need / 2**20:,.0f} MiB "
+                f"of per-node storage, over the {DP_MEMORY_BUDGET / 2**20:,.0f} "
+                "MiB budget")
+        if external_influence is None:
+            ext = (0.0,) * node_count
+        else:
+            ext = tuple(float(x) for x in external_influence)
+            if len(ext) != node_count:
+                raise ValueError("external_influence length must equal node_count")
 
         incoming = [[] for _ in range(node_count)]
         nbr_mask = [0] * node_count
@@ -324,6 +332,53 @@ def sequence_time(instance: DiffusionInstance, sequence,
         mask |= 1 << v
     return SolveResult(sequence=seq, total_time=total, step_times=tuple(steps),
                        solver=solver)
+
+
+def _induced(instance: DiffusionInstance, nodes, seed: int, z: int):
+    """The sub-instance on the sorted ids nodes, seeded at seed with target
+    z, and its local -> global map.  Weights from outside nodes fold into
+    external influence in ascending source order; costs the nodes' degrees."""
+    net = instance.network
+    local = {g: i for i, g in enumerate(nodes)}
+    edges, ext, later = [], [], {}  # later[u, v], u < v: w_vu, met at u
+    for g in nodes:
+        d = net.external_influence[g]
+        for j, wjg in net._incoming[g]:
+            if j not in local:
+                d += wjg
+            elif j > g:
+                later[g, j] = wjg
+            else:
+                edges.append((local[j], local[g], wjg, later.pop((j, g))))
+        ext.append(d)
+    sub = InfluenceNetwork(len(nodes), edges, ext)
+    return (DiffusionInstance(sub, local[seed], z, instance.alpha, instance.beta),
+            tuple(nodes))
+
+
+def _ball(instance: DiffusionInstance):
+    """Sorted ids within z - 1 hops of the seed: all a z-sequence reaches."""
+    inc = instance.network._incoming
+    seen, frontier = {instance.seed}, [instance.seed]
+    for _ in range(instance.z - 1):
+        frontier = {j for v in frontier for j, _ in inc[v]} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
+def _on_ball(instance: DiffusionInstance, solve, solver: str) -> SolveResult:
+    """solve(sub, to_global) on _ball's sub-instance, its sequence replayed
+    here; a whole-network ball is solved as is (to_global None)."""
+    ball = _ball(instance)
+    if len(ball) == instance.network.node_count:
+        return solve(instance, None)
+    if len(ball) < instance.z:
+        return infeasible_result(instance.seed, solver)
+    sub, to_global = _induced(instance, ball, instance.seed, instance.z)
+    res = solve(sub, to_global)
+    if not res.feasible:
+        return infeasible_result(instance.seed, solver)
+    return sequence_time(instance, [to_global[v] for v in res.sequence], solver)
 
 
 def validate(net: InfluenceNetwork):

@@ -18,6 +18,10 @@ ordering while the search builds it (see _orderings); at z = node_count
 the rule leaves only permutations.  tw_full_optimal accepts only
 z = node_count.  Both refuse a ground of g > GROUND_CAP nodes, on the
 order of g! orderings, unless force=True.
+
+A z-sequence activates only nodes within z - 1 hops of the seed, so
+tw_partial_optimal solves that ball alone.  dp_optimal does so only above 62
+nodes: below, its kernels already skip every node without an active neighbour.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import cached_property
 from operator import index
 
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
-                      SizeGuardError, SolveResult, _read_json,
+                      SizeGuardError, SolveResult, _on_ball, _read_json,
                       _step_time_masked, _write_json, check_instance,
                       infeasible_result, sequence_time)
 
@@ -158,7 +162,9 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
     member.  Exact on trees (width 1); small widths on sparse graphs.
     Fills sit in a heap keyed (fill, id), and an elimination re-counts only
     its neighbours and theirs, so on graphs of bounded degree (and width)
-    the cost is O(n log n).
+    the cost is O(n log n).  Eliminating a simplicial vertex (fill 0)
+    re-counts nothing, so a star costs O(n log n) after its centre's first
+    count.
     """
     n = net.node_count
     adj = [set(net.neighbors(i)) for i in range(n)]
@@ -173,6 +179,12 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
         nb = adj[v]
         bags.append(frozenset(nb | {v}))
         elim.append(v)
+        if f == 0:  # nb is a clique: no edge is added, and each a loses only
+            for a in nb:  # v and the pairs of v with a's neighbours outside nb
+                adj[a].discard(v)
+                fill[a] -= len(adj[a]) - len(nb) + 1  # len(adj[a] - nb)
+                heapq.heappush(heap, (fill[a], a))
+            continue
         for a in nb:
             adj[a] |= nb
             adj[a] -= {a, v}
@@ -533,6 +545,18 @@ def tw_full_optimal(instance: DiffusionInstance,
 def tw_partial_optimal(instance: DiffusionInstance,
                        td: TreeDecomposition | None = None, *,
                        force: bool = False) -> SolveResult:
-    """Optimal partial diffusion (any z) along a tree decomposition."""
+    """Optimal partial diffusion (any z) along a tree decomposition, on the
+    ball within z - 1 hops of the seed: a given td is checked on the whole
+    network, then cut to the ball (bags intersected with it, same tree)."""
     check_instance(instance)
-    return _tw_solve(instance, td, force, "tw-partial")
+    if td is not None and validate_decomposition(instance.network, td):
+        return _tw_solve(instance, td, force, "tw-partial")  # raises its error
+
+    def solve(sub, to_global):
+        if td is not None and to_global is not None:
+            local = {g: i for i, g in enumerate(to_global)}
+            return _tw_solve(sub, TreeDecomposition(
+                [[local[v] for v in bag if v in local] for bag in td.bags],
+                td.edges, td.root), force, "tw-partial")
+        return _tw_solve(sub, td, force, "tw-partial")
+    return _on_ball(instance, solve, "tw-partial")

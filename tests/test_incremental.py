@@ -154,3 +154,27 @@ def test_min_fill_counts_fills_linearly_on_a_tree(monkeypatch):
     td = min_fill_decomposition(net)
     assert td.width == 1
     assert calls <= 4 * net.node_count
+
+
+def test_min_fill_counts_a_star_centre_once(monkeypatch):
+    # Every leaf is simplicial, so eliminating it re-counts nothing: one
+    # count per vertex to start (the rescan of the centre's neighbours made
+    # about n^2 / 2)
+    net = InfluenceNetwork(2001, [(0, i, 1.0, 1.0) for i in range(1, 2001)])
+    calls = 0
+    fill = treewidth._fill
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return fill(*args)
+
+    monkeypatch.setattr(treewidth, "_fill", counting)
+    td = min_fill_decomposition(net)
+    assert td.width == 1
+    assert calls <= net.node_count
+    # and the decomposition is the rescan's, centre first or not
+    for centre in (0, 7, 39):
+        star = InfluenceNetwork(40, [(centre, i, 1.0, 1.0)
+                                     for i in range(40) if i != centre])
+        assert min_fill_decomposition(star) == reference_min_fill(star)

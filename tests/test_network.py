@@ -315,3 +315,23 @@ def test_step_times_masked_equals_scalar_kernel():
                     want = [_step_time_masked(net, m, i, alpha, beta)
                             for m in range(1 << 6)]
                     assert got.tolist() == want, (net.edges, i, alpha, beta)
+
+
+def test_neighbour_masks_count_against_the_memory_budget(tmp_path):
+    # a path's masks take about n^2 / 15 bytes: 200,000 nodes would need
+    # about 2.5 GiB, so the constructor refuses before building any mask,
+    # and the text reader names the file
+    edges = [(i, i + 1, 1.0, 1.0) for i in range(199_999)]
+    want = ("node_count 200,000 needs about 2,569 MiB of per-node storage, "
+            "over the 1,024 MiB budget")
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        InfluenceNetwork(200_000, edges)
+    p = tmp_path / "path.txt"
+    p.write_text("200000 199999\n" + "".join(f"{i} {i + 1} 1 1\n"
+                                             for i in range(199_999)))
+    with pytest.raises(NetworkFormatError) as exc:
+        load(str(p))
+    assert str(exc.value) == f"{p}: {want}"
+    # a star's masks are small but for the centre's: it passes
+    assert InfluenceNetwork(200_000, [(0, i, 1.0, 1.0)
+                                      for i in range(1, 200_000)]).node_count
