@@ -28,10 +28,7 @@ def _blocks(net: InfluenceNetwork, root: int):
     Raises ValueError when the network is disconnected.
     """
     n = net.node_count
-    adj = [[] for _ in range(n)]  # ascending neighbours, as net.edges is sorted
-    for rec in net.edges:
-        adj[rec[0]].append((rec[1], rec))
-        adj[rec[1]].append((rec[0], rec))
+    adj = [net.neighbors(i) for i in range(n)]  # ascending
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -48,18 +45,18 @@ def _blocks(net: InfluenceNetwork, root: int):
         v, idx = stack[-1]
         if idx < len(adj[v]):
             stack[-1] = (v, idx + 1)
-            w, rec = adj[v][idx]
+            w = adj[v][idx]
             if disc[w] == -1:
                 parent[w] = v
                 if v == root:
                     root_children += 1
                 mark[w] = len(estack)
-                estack.append(rec)
+                estack.append((v, w))
                 disc[w] = low[w] = timer
                 timer += 1
                 stack.append((w, 0))
             elif w != parent[v] and disc[w] < disc[v]:
-                estack.append(rec)
+                estack.append((v, w))
                 if disc[w] < low[v]:
                     low[v] = disc[w]
         else:
@@ -69,9 +66,8 @@ def _blocks(net: InfluenceNetwork, root: int):
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    recs = estack[mark[v]:]
+                    nodes = sorted({x for e in estack[mark[v]:] for x in e})
                     del estack[mark[v]:]
-                    nodes = sorted({x for rec in recs for x in rec[:2]})
                     blocks.append((nodes, u))
                     if u != root:
                         cuts.add(u)
@@ -115,11 +111,8 @@ def component_instances(instance: DiffusionInstance):
     if n == 1:
         return [ComponentInstance(instance=instance, to_global=(instance.seed,),
                                   entry=instance.seed)]
-    out = []
-    for blk, entry in reversed(_blocks(instance.network, instance.seed)[0]):
-        inst, to_global = _induced(instance, blk, entry, len(blk))
-        out.append(ComponentInstance(instance=inst, to_global=to_global, entry=entry))
-    return out
+    return [ComponentInstance(*_induced(instance, blk, entry, len(blk)), entry)
+            for blk, entry in reversed(_blocks(instance.network, instance.seed)[0])]
 
 
 def solve_full_via_decomposition(instance: DiffusionInstance,

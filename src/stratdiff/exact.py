@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from .network import (DP_MEMORY_BUDGET, DiffusionInstance, SizeGuardError,
-                      SolveResult, _on_ball, _step_time_masked,
-                      _step_times_masked, check_instance, infeasible_result,
-                      sequence_time)
+                      SolveResult, _step_time_masked, _step_times_masked,
+                      check_instance, infeasible_result, sequence_time)
 from .heuristics import greedy_sequence
 
 INF = math.inf
@@ -104,19 +103,9 @@ def dp_optimal(instance: DiffusionInstance, *,
     the answer does not change (see _dp_layers).  Before building each
     layer, either kernel estimates its memory from the layer's candidate
     states and the states kept so far, and raises SizeGuardError when the
-    estimate passes DP_MEMORY_BUDGET, unless force=True.  Above
-    DP_VECTOR_MAX_NODES nodes the DP runs on the ball within z - 1 hops of
-    the seed, all a z-sequence reaches, so a sparse network at small z gets
-    the numpy kernel; below, both kernels already skip every node without
-    an active neighbour, and building the ball would only add its cost.
+    estimate passes DP_MEMORY_BUDGET, unless force=True.
     """
     check_instance(instance)
-    if instance.network.node_count > DP_VECTOR_MAX_NODES:
-        return _on_ball(instance, lambda sub, _: _dp(sub, force), "dp")
-    return _dp(instance, force)
-
-
-def _dp(instance, force):
     n = instance.network.node_count
     vector = DP_VECTOR_MIN_NODES <= n <= DP_VECTOR_MAX_NODES
     seq = (_dp_layers if vector else _dp_dict)(instance, force)

@@ -90,14 +90,11 @@ class InfluenceNetwork:
             seen.add((u, v))
             records.append((u, v, float(wuv), float(wvu)))
         records.sort(key=lambda r: (r[0], r[1]))
-        # a node's mask takes 28 bytes plus 4 per 30 bits of its largest
-        # neighbour, read off the last sorted record holding it first, if
-        # any, else the last holding it second; skipped when masks as long
-        # as the node count would fit
+        # a mask takes 28 bytes plus 4 per 30 bits of its node's largest
+        # neighbour (read only if masks n bits long would not fit)
         need = node_count * _NODE_BYTES
         if need + node_count * (28 + node_count // 30 * 4) > DP_MEMORY_BUDGET:
-            top = {v: u for u, v, _, _ in records}
-            top.update({u: v for u, v, _, _ in records})
+            top = {v: u for u, v, _, _ in records} | {u: v for u, v, _, _ in records}
             need += sum(28 + t // 30 * 4 for t in top.values())
         if need > DP_MEMORY_BUDGET:
             raise ValueError(
@@ -335,9 +332,8 @@ def sequence_time(instance: DiffusionInstance, sequence,
 
 
 def _induced(instance: DiffusionInstance, nodes, seed: int, z: int):
-    """The sub-instance on the sorted ids nodes, seeded at seed with target
-    z, and its local -> global map.  Weights from outside nodes fold into
-    external influence in ascending source order; costs the nodes' degrees."""
+    """The sub-instance on the sorted ids nodes and its local -> global map, in
+    the nodes' degrees; outside weights fold into external influence, ascending."""
     net = instance.network
     local = {g: i for i, g in enumerate(nodes)}
     edges, ext, later = [], [], {}  # later[u, v], u < v: w_vu, met at u
@@ -364,21 +360,6 @@ def _ball(instance: DiffusionInstance):
         frontier = {j for v in frontier for j, _ in inc[v]} - seen
         seen |= frontier
     return sorted(seen)
-
-
-def _on_ball(instance: DiffusionInstance, solve, solver: str) -> SolveResult:
-    """solve(sub, to_global) on _ball's sub-instance, its sequence replayed
-    here; a whole-network ball is solved as is (to_global None)."""
-    ball = _ball(instance)
-    if len(ball) == instance.network.node_count:
-        return solve(instance, None)
-    if len(ball) < instance.z:
-        return infeasible_result(instance.seed, solver)
-    sub, to_global = _induced(instance, ball, instance.seed, instance.z)
-    res = solve(sub, to_global)
-    if not res.feasible:
-        return infeasible_result(instance.seed, solver)
-    return sequence_time(instance, [to_global[v] for v in res.sequence], solver)
 
 
 def validate(net: InfluenceNetwork):
@@ -501,11 +482,8 @@ def _load_text(path: str) -> InfluenceNetwork:
     if not lines:
         raise NetworkFormatError(f"{path}: empty network file")
     k0, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise NetworkFormatError(f"{path}:{k0}: header must be 'n m'")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = map(int, head.split())  # a wrong field count is a ValueError too
     except ValueError as exc:
         raise NetworkFormatError(f"{path}:{k0}: header must be 'n m'") from exc
     if len(lines) - 1 != m:

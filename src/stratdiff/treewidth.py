@@ -17,11 +17,8 @@ one rule that the restriction of any z-sequence obeys, and prices each
 ordering while the search builds it (see _orderings); at z = node_count
 the rule leaves only permutations.  tw_full_optimal accepts only
 z = node_count.  Both refuse a ground of g > GROUND_CAP nodes, on the
-order of g! orderings, unless force=True.
-
-A z-sequence activates only nodes within z - 1 hops of the seed, so
-tw_partial_optimal solves that ball alone.  dp_optimal does so only above 62
-nodes: below, its kernels already skip every node without an active neighbour.
+order of g! orderings, unless force=True.  tw_partial_optimal solves only
+the ball within z - 1 hops of the seed, all a z-sequence can activate.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ from functools import cached_property
 from operator import index
 
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
-                      SizeGuardError, SolveResult, _on_ball, _read_json,
-                      _step_time_masked, _write_json, check_instance,
-                      infeasible_result, sequence_time)
+                      SizeGuardError, SolveResult, _ball, _induced,
+                      _read_json, _step_time_masked, _write_json,
+                      check_instance, infeasible_result, sequence_time)
 
 INF = math.inf
 
@@ -162,9 +159,8 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
     member.  Exact on trees (width 1); small widths on sparse graphs.
     Fills sit in a heap keyed (fill, id), and an elimination re-counts only
     its neighbours and theirs, so on graphs of bounded degree (and width)
-    the cost is O(n log n).  Eliminating a simplicial vertex (fill 0)
-    re-counts nothing, so a star costs O(n log n) after its centre's first
-    count.
+    the cost is O(n log n).  A simplicial vertex (fill 0) is eliminated
+    with no re-count, so stars cost O(n log n) too.
     """
     n = net.node_count
     adj = [set(net.neighbors(i)) for i in range(n)]
@@ -304,12 +300,13 @@ def bag_ground(net: InfluenceNetwork, bag) -> frozenset:
     return frozenset(g)
 
 
-def _checked_ground(net, bag, force):
+def _checked_ground(net, bag, force, names=None):
     ground = bag_ground(net, bag)
     g = len(ground)
     if g > GROUND_CAP and not force:
+        ids = sorted(bag) if names is None else [names[v] for v in sorted(bag)]
         raise SizeGuardError(
-            f"bag {sorted(bag)} has a closed neighborhood of {g} nodes, "
+            f"bag {ids} has a closed neighborhood of {g} nodes, "
             f"above {GROUND_CAP}: on the order of {g}! orderings to "
             f"enumerate; pass force=True")
     return ground
@@ -430,11 +427,10 @@ def _profile(table, s):
     return prof
 
 
-def _solve_bag(instance, td, t, tables, force):
+def _solve_bag(instance, td, t, tables, force, names):
     """Bag t's table; _orderings prices only the members whose top bag is t."""
-    net = instance.network
     members = td.bags[t]
-    ground = _checked_ground(net, members, force)
+    ground = _checked_ground(instance.network, members, force, names)
     p = td.parent(t)
     top = members - td.bags[p] if p >= 0 else members
     shared = []
@@ -503,19 +499,20 @@ def _reconstruct(td, tables, z, j):
     return gstar
 
 
-def _tw_solve(instance, td, force, solver_name):
-    """The tree DP on a checked instance; solver_name labels the result."""
-    net = instance.network
-    if td is None:
-        td = min_fill_decomposition(net)
-    bad = validate_decomposition(net, td)
-    if bad:
+def _check_td(net, td):
+    if td is not None and (bad := validate_decomposition(net, td)):
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
+
+
+def _tw_solve(instance, td, force, solver_name, names=None):
+    """Tree DP along a valid td (min-fill's if None); a refusal calls v names[v]."""
+    if td is None:
+        td = min_fill_decomposition(instance.network)
     z = instance.z
 
     tables = [None] * len(td.bags)
     for t in reversed(td.topdown()):
-        tables[t] = _solve_bag(instance, td, t, tables, force)
+        tables[t] = _solve_bag(instance, td, t, tables, force, names)
     best, j = min(((m.get(z, INF), j) for j, m in enumerate(tables[td.root].maps)),
                   default=(INF, -1))
     if best == INF:
@@ -539,6 +536,7 @@ def tw_full_optimal(instance: DiffusionInstance,
     check_instance(instance)
     if instance.z != instance.network.node_count:
         raise ValueError("full-diffusion solver requires z = node_count")
+    _check_td(instance.network, td)
     return _tw_solve(instance, td, force, "tw-full")
 
 
@@ -549,14 +547,18 @@ def tw_partial_optimal(instance: DiffusionInstance,
     ball within z - 1 hops of the seed: a given td is checked on the whole
     network, then cut to the ball (bags intersected with it, same tree)."""
     check_instance(instance)
-    if td is not None and validate_decomposition(instance.network, td):
-        return _tw_solve(instance, td, force, "tw-partial")  # raises its error
-
-    def solve(sub, to_global):
-        if td is not None and to_global is not None:
-            local = {g: i for i, g in enumerate(to_global)}
-            return _tw_solve(sub, TreeDecomposition(
-                [[local[v] for v in bag if v in local] for bag in td.bags],
-                td.edges, td.root), force, "tw-partial")
-        return _tw_solve(sub, td, force, "tw-partial")
-    return _on_ball(instance, solve, "tw-partial")
+    _check_td(instance.network, td)
+    ball = _ball(instance)
+    if len(ball) == instance.network.node_count:
+        return _tw_solve(instance, td, force, "tw-partial")
+    if len(ball) < instance.z:
+        return infeasible_result(instance.seed, "tw-partial")
+    sub, to_global = _induced(instance, ball, instance.seed, instance.z)
+    if td is not None:
+        local = {g: i for i, g in enumerate(ball)}
+        td = TreeDecomposition([[local[v] for v in bag if v in local]
+                                for bag in td.bags], td.edges, td.root)
+    res = _tw_solve(sub, td, force, "tw-partial", to_global)
+    if not res.feasible:
+        return infeasible_result(instance.seed, "tw-partial")
+    return sequence_time(instance, [to_global[v] for v in res.sequence], "tw-partial")

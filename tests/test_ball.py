@@ -1,13 +1,15 @@
 """Solving only the ball a z-sequence can reach.
 
-tw_partial_optimal, and dp_optimal above 62 nodes, solve the sub-instance
-induced by the nodes within z - 1 hops of the seed and replay its sequence
-on the whole network.  The ball's totals must equal the unrestricted
-solves' to 1e-12 relative at every z, a sparse solve must run on the ball
-alone, and a bag the ball cuts away must no longer trip the ground cap.
+tw_partial_optimal solves the sub-instance induced by the nodes within
+z - 1 hops of the seed and replays its sequence on the whole network.  The
+ball's totals must equal the unrestricted tree DP's to 1e-12 relative at
+every z, a sparse solve must run on the ball alone, a bag the ball cuts
+away must no longer trip the ground cap, and a refusal inside the ball
+must name the network's own ids.
 """
 
 import random
+import re
 
 import pytest
 
@@ -18,7 +20,7 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
                        SizeGuardError, bag_ground, dp_optimal,
                        infeasible_result, min_fill_decomposition,
                        sequence_time, tw_partial_optimal)
-from stratdiff import exact, treewidth  # noqa: E402
+from stratdiff import treewidth  # noqa: E402
 from helpers import random_tree, theta2_graph  # noqa: E402
 
 
@@ -29,12 +31,6 @@ def _close(a, b):
 def _unrestricted_tw(inst, td=None):
     """The tree DP on the whole network, as it ran before the ball."""
     return treewidth._tw_solve(inst, td, True, "tw-partial")
-
-
-def _unrestricted_dp(inst):
-    """The dict kernel on the whole network, as dp_optimal ran above 62."""
-    seq = exact._dp_dict(inst)
-    return float("inf") if seq is None else sequence_time(inst, seq).total_time
 
 
 @st.composite
@@ -70,30 +66,6 @@ def test_tw_partial_on_the_ball_equals_the_whole_network(case, given_td):
             assert got == sequence_time(inst, got.sequence, solver="tw-partial")
 
 
-@st.composite
-def large_sparse(draw):
-    """Trees and paths of 63-90 nodes with a target the dict loop can
-    solve on the whole network: every z on a path, z <= 7 on a tree."""
-    n = draw(st.integers(63, 90))
-    rng = random.Random(draw(st.integers(0, 2**16)))
-    if draw(st.booleans()):
-        net = InfluenceNetwork(n, [(i, i + 1, rng.uniform(0.5, 2.0),
-                                    rng.uniform(0.5, 2.0)) for i in range(n - 1)])
-        z = draw(st.integers(1, n))
-    else:
-        net, z = random_tree(n, rng), draw(st.integers(1, 7))
-    return DiffusionInstance(net, draw(st.integers(0, n - 1)), z,
-                             draw(st.sampled_from([0.5, 1.0])),
-                             draw(st.sampled_from([0.7, 1.0])))
-
-
-@given(large_sparse())
-def test_dp_above_62_nodes_on_the_ball_equals_the_whole_network(inst):
-    got = dp_optimal(inst)
-    assert _close(got.total_time, _unrestricted_dp(inst))
-    assert got == sequence_time(inst, got.sequence, solver="dp")
-
-
 def test_sparse_tw_partial_solves_a_ball_of_at_most_22_nodes(monkeypatch):
     # a degree-3 tree has at most 1 + 3 + 6 + 12 = 22 nodes within 3 hops
     net = random_tree(300, random.Random(61))
@@ -125,22 +97,23 @@ def test_a_hub_beyond_the_ball_no_longer_trips_the_ground_cap():
     assert got.total_time == dp_optimal(inst).total_time
 
 
-def test_sparse_dp_above_62_nodes_reaches_the_numpy_kernel(monkeypatch):
-    # at z = 5 a degree-3 tree's ball has at most 1 + 3 + 6 + 12 + 24 = 46
-    # nodes: the numpy kernel's range, not the dict loop's
-    inst = DiffusionInstance(random_tree(300, random.Random(61)), 0, 5)
-    want = _unrestricted_dp(inst)
-    sizes = []
-    layers = exact._dp_layers
-
-    def spy(sub, *args):
-        sizes.append(sub.network.node_count)
-        return layers(sub, *args)
-
-    monkeypatch.setattr(exact, "_dp_layers", spy)
-    assert _close(dp_optimal(inst).total_time, want)
-    assert len(sizes) == 1 and exact.DP_VECTOR_MIN_NODES <= sizes[0] <= 46
-
+def test_a_refusal_inside_the_ball_names_the_networks_ids():
+    # hub 20 with leaves 8-19 and a path 0-7 hanging off leaf 19; at z = 3
+    # from leaf 8 the ball is the star, ids 8-20 renumbered 0-12, and every
+    # bag holding the hub has a 13-node ground, over GROUND_CAP
+    edges = [(v, 20, 1.0, 2.0) for v in range(8, 20)]
+    edges += [(i, i + 1, 1.0, 1.0) for i in range(7)] + [(7, 19, 1.0, 1.0)]
+    net = InfluenceNetwork(21, edges)
+    inst = DiffusionInstance(net, 8, 3)
+    for td in (None, min_fill_decomposition(net)):
+        with pytest.raises(SizeGuardError, match="closed neighborhood of 13 "
+                           "nodes") as err:
+            tw_partial_optimal(inst, td)
+        ids = [int(x) for x in re.match(r"bag \[([\d, ]+)\]",
+                                        str(err.value)).group(1).split(", ")]
+        assert 20 in ids and all(8 <= v <= 20 for v in ids)
+        got = tw_partial_optimal(inst, td, force=True)
+        assert _close(got.total_time, dp_optimal(inst).total_time)
 
 
 def test_a_ball_with_fewer_than_z_nodes_is_infeasible():
@@ -149,4 +122,3 @@ def test_a_ball_with_fewer_than_z_nodes_is_infeasible():
     edges = [(i, i + 1, 1.0, 1.0) for i in [*range(34), *range(35, 69)]]
     inst = DiffusionInstance(InfluenceNetwork(70, edges), 0, 36)
     assert tw_partial_optimal(inst) == infeasible_result(0, "tw-partial")
-    assert dp_optimal(inst) == infeasible_result(0, "dp")
