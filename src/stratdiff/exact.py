@@ -4,17 +4,17 @@ Both solvers answer the same question: starting from the seed, in what order
 should z-1 further nodes be activated so that the sum of expected step times
 is minimal.  brute_force_optimal enumerates sequences and is the reference
 oracle for tiny inputs; dp_optimal runs a dynamic program over node subsets
-and is exact for moderate n.
+and is exact for moderate n.  Its 12-62-node kernel _dp_layers and the
+array step-time kernel it calls, _step_times_masked, are the only users of
+numpy here, and import it only when they run.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .network import (DP_MEMORY_BUDGET, DiffusionInstance, SizeGuardError,
-                      SolveResult, _step_time_masked, _step_times_masked,
+from .network import (DP_MEMORY_BUDGET, DiffusionInstance, InfluenceNetwork,
+                      SizeGuardError, SolveResult, _step_time_masked,
                       check_instance, infeasible_result, sequence_time)
 from .heuristics import greedy_sequence
 
@@ -211,6 +211,7 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     (at alpha = 0 every state sits exactly at UB).  An infeasible greedy
     run gives UB = inf and drops nothing.
     """
+    import numpy as np
     net = instance.network
     n = net.node_count
     seed = instance.seed
@@ -274,3 +275,32 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
         rev.append(i)
         mask ^= 1 << i
     return [seed] + rev[::-1]
+
+
+def _step_times_masked(net: InfluenceNetwork, masks, i: int,
+                       alpha: float, beta: float):
+    """Array form of _step_time_masked over an int64 array of active masks.
+
+    Every element equals the scalar result bit for bit: the active in-weight
+    is summed in the same ascending-j order (an inactive neighbour adds an
+    exact 0.0), and the power is taken by Python's ``**`` on each distinct
+    ratio, because numpy's vectorised pow can differ from it in the last bit.
+    """
+    import numpy as np
+    w = net.total_influence[i]
+    if w <= 0.0:
+        return np.full(masks.shape, INF)
+    s = np.zeros(masks.shape)
+    for j, wji in net._incoming[i]:
+        s += wji * ((masks >> j) & 1)
+    dead = s <= 0.0
+    with np.errstate(divide="ignore"):
+        ratio = w / s
+    if alpha != 1.0:
+        uniq, inv = np.unique(ratio, return_inverse=True)
+        ratio = np.array([r ** alpha for r in uniq.tolist()])[inv]
+    if beta != 1.0:
+        ratio = ratio / beta
+    # after the power: inf ** 0.0 is 1.0
+    ratio[dead] = INF
+    return ratio

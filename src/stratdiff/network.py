@@ -13,7 +13,8 @@ in one time step with probability
 and the expected number of steps until activation is 1 / p(i).  A zero
 probability means the node can never activate from the current set and the
 expected time is infinite.  The convention 0**alpha = 0 applies for every
-alpha including 0.
+alpha including 0.  The step-time kernel's array form is in exact, by its
+one caller, so this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 INF = math.inf
 # dp_optimal refuses a DP layer, and InfluenceNetwork a network, whose
@@ -242,34 +241,6 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
         ratio = ratio ** alpha
     if beta != 1.0:
         ratio = ratio / beta
-    return ratio
-
-
-def _step_times_masked(net: InfluenceNetwork, masks, i: int,
-                       alpha: float, beta: float):
-    """Array form of _step_time_masked over an int64 array of active masks.
-
-    Every element equals the scalar result bit for bit: the active in-weight
-    is summed in the same ascending-j order (an inactive neighbour adds an
-    exact 0.0), and the power is taken by Python's ``**`` on each distinct
-    ratio, because numpy's vectorised pow can differ from it in the last bit.
-    """
-    w = net.total_influence[i]
-    if w <= 0.0:
-        return np.full(masks.shape, INF)
-    s = np.zeros(masks.shape)
-    for j, wji in net._incoming[i]:
-        s += wji * ((masks >> j) & 1)
-    dead = s <= 0.0
-    with np.errstate(divide="ignore"):
-        ratio = w / s
-    if alpha != 1.0:
-        uniq, inv = np.unique(ratio, return_inverse=True)
-        ratio = np.array([r ** alpha for r in uniq.tolist()])[inv]
-    if beta != 1.0:
-        ratio = ratio / beta
-    # after the power: inf ** 0.0 is 1.0
-    ratio[dead] = INF
     return ratio
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .network import DiffusionInstance, check_instance, sequence_time
 
 
@@ -37,6 +35,7 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
     step has probability zero) or nonpositive trials.  Returns the sample
     mean, its standard error, and the analytic expectation for comparison.
     """
+    import numpy as np
     check_instance(instance)
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -545,7 +545,10 @@ def tw_partial_optimal(instance: DiffusionInstance,
                        force: bool = False) -> SolveResult:
     """Optimal partial diffusion (any z) along a tree decomposition, on the
     ball within z - 1 hops of the seed: a given td is checked on the whole
-    network, then cut to the ball (bags intersected with it, same tree)."""
+    network, then cut to the ball: each bag is intersected with it, an
+    empty bag is dropped and one inside its nearest kept ancestor merged
+    into that.  The bags meeting the (connected) ball form a subtree, so
+    the kept bags form a tree, rooted at the one nearest the old root."""
     check_instance(instance)
     _check_td(instance.network, td)
     ball = _ball(instance)
@@ -556,8 +559,17 @@ def tw_partial_optimal(instance: DiffusionInstance,
     sub, to_global = _induced(instance, ball, instance.seed, instance.z)
     if td is not None:
         local = {g: i for i, g in enumerate(ball)}
-        td = TreeDecomposition([[local[v] for v in bag if v in local]
-                                for bag in td.bags], td.edges, td.root)
+        cut = [frozenset(local[v] for v in bag if v in local) for bag in td.bags]
+        bags, edges, near = [], [], {-1: None}  # near[t]: t, or where it merged
+        for t in td.topdown():
+            a = near[td.parent(t)]
+            if cut[t] and (a is None or not cut[t] <= bags[a]):
+                if a is not None:
+                    edges.append((a, len(bags)))
+                a = len(bags)
+                bags.append(cut[t])
+            near[t] = a
+        td = TreeDecomposition(bags, edges)
     res = _tw_solve(sub, td, force, "tw-partial", to_global)
     if not res.feasible:
         return infeasible_result(instance.seed, "tw-partial")

@@ -5,7 +5,8 @@ z - 1 hops of the seed and replays its sequence on the whole network.  The
 ball's totals must equal the unrestricted tree DP's to 1e-12 relative at
 every z, a sparse solve must run on the ball alone, a bag the ball cuts
 away must no longer trip the ground cap, and a refusal inside the ball
-must name the network's own ids.
+must name the network's own ids.  A given decomposition is cut to the bags
+that add ball nodes to their nearest kept ancestor's.
 """
 
 import random
@@ -21,6 +22,7 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
                        infeasible_result, min_fill_decomposition,
                        sequence_time, tw_partial_optimal)
 from stratdiff import treewidth  # noqa: E402
+from stratdiff.network import _ball  # noqa: E402
 from helpers import random_tree, theta2_graph  # noqa: E402
 
 
@@ -122,3 +124,40 @@ def test_a_ball_with_fewer_than_z_nodes_is_infeasible():
     edges = [(i, i + 1, 1.0, 1.0) for i in [*range(34), *range(35, 69)]]
     inst = DiffusionInstance(InfluenceNetwork(70, edges), 0, 36)
     assert tw_partial_optimal(inst) == infeasible_result(0, "tw-partial")
+
+
+@pytest.mark.parametrize("make", [lambda rng: random_tree(200, rng),
+                                  lambda rng: theta2_graph(120, rng)],
+                         ids=["tree", "sparse"])
+def test_a_given_decomposition_keeps_only_bags_that_add_to_the_ball(
+        make, monkeypatch):
+    # the totals with and without a given min-fill decomposition agree; its
+    # root bag holds the last-eliminated vertex: seeding there keeps the
+    # root, a random seed mostly cuts it off and the cut is re-rooted
+    solve = treewidth._tw_solve
+    cut = []
+
+    def spy(sub, td, *args):
+        if td is not None:
+            # every bag kept meets the ball and adds to its parent's
+            cut.append(all(b and (t == td.root or not b <= td.bags[td.parent(t)])
+                           for t, b in enumerate(td.bags)))
+        return solve(sub, td, *args)
+
+    monkeypatch.setattr(treewidth, "_tw_solve", spy)
+    roots_outside = set()
+    for s in range(6):
+        rng = random.Random(s)
+        net = make(rng)
+        td = min_fill_decomposition(net)
+        if max(len(bag_ground(net, b)) for b in td.bags) > treewidth.GROUND_CAP:
+            continue
+        for seed in (min(td.bags[td.root]), rng.randrange(net.node_count)):
+            for z in range(2, 7):
+                inst = DiffusionInstance(net, seed, z, 0.5 + 0.5 * (z % 2))
+                got = tw_partial_optimal(inst, td)
+                want = tw_partial_optimal(inst)
+                assert abs(got.total_time - want.total_time) <= 1e-9 * max(
+                    1.0, want.total_time)
+                roots_outside.add(td.bags[td.root].isdisjoint(_ball(inst)))
+    assert roots_outside == {False, True} and cut and all(cut)

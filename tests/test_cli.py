@@ -380,6 +380,61 @@ def test_console_script(tmp_path):
     assert json.loads(proc.stdout)["solver"] == "greedy"
 
 
+# Run once in a fresh child process and once here; out["lazy"] records
+# whether numpy stayed unloaded through every solve that needs no arrays.
+_LAZY_NUMPY = """
+import contextlib, io, json, random, sys
+from stratdiff import (DiffusionInstance, InfluenceNetwork, cli, dp_optimal,
+                       greedy_sequence, majority_sequence, random_connected,
+                       simulate_sequence, solve_full_via_decomposition,
+                       tw_full_optimal, tw_partial_optimal)
+
+out = {}
+inst = DiffusionInstance(random_connected(10, rng_seed=3), 0, 10)
+for solve in (dp_optimal, greedy_sequence, majority_sequence):
+    out[solve.__name__] = solve(inst).total_time
+rng = random.Random(5)
+deg, edges = [0] * 14, []
+for v in range(1, 14):  # a random tree of degree at most 3
+    u = rng.choice([u for u in range(v) if deg[u] < 3])
+    deg[u] += 1
+    deg[v] += 1
+    edges.append((u, v, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
+tree = InfluenceNetwork(14, edges)
+out["tw_full"] = tw_full_optimal(DiffusionInstance(tree, 0, 14)).total_time
+out["tw_partial"] = tw_partial_optimal(DiffusionInstance(tree, 0, 4)).total_time
+chain = InfluenceNetwork(8, [(0, 1, 1.0, 2.0), (0, 2, 0.5, 1.0),
+                             (1, 2, 1.5, 1.0), (2, 3, 1.0, 1.0),
+                             (3, 4, 2.0, 0.5), (4, 5, 1.0, 1.0),
+                             (5, 6, 0.5, 1.5), (3, 6, 1.0, 1.0),
+                             (6, 7, 1.0, 2.0)])
+out["decompose"] = solve_full_via_decomposition(
+    DiffusionInstance(chain, 0, 8), dp_optimal).total_time
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    out["compare_code"] = cli.main(["compare", "--k-min", "2", "--k-max", "4"])
+out["compare"] = buf.getvalue()
+out["lazy"] = "numpy" not in sys.modules
+big = DiffusionInstance(random_connected(12, rng_seed=3), 0, 12)
+res = dp_optimal(big)
+out["dp_12"] = res.total_time
+out["simulate"] = simulate_sequence(big, res.sequence, 100, 1).as_dict()
+out["loaded"] = "numpy" in sys.modules
+"""
+
+
+def test_numpy_is_loaded_only_by_the_array_dp_and_simulate():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_NUMPY + "print(json.dumps(out))"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    got = json.loads(proc.stdout)
+    assert got.pop("lazy") and got.pop("loaded")
+    scope = {}
+    exec(_LAZY_NUMPY, scope)
+    want = scope["out"]
+    del want["lazy"], want["loaded"]
+    assert got == want and want["compare_code"] == 0
+
+
 def test_every_exported_name_resolves():
     assert len(set(stratdiff.__all__)) == len(stratdiff.__all__)
     for name in stratdiff.__all__:

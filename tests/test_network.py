@@ -12,7 +12,8 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, validate,
                        validate_instance)
-from stratdiff.network import _step_time_masked, _step_times_masked
+from stratdiff.exact import _step_times_masked
+from stratdiff.network import _step_time_masked
 from helpers import path_net, random_weighted_net
 
 INF = math.inf
