@@ -1,24 +1,28 @@
 """Fixed-parameter solvers driven by a tree decomposition.
 
-Each bag of the decomposition is widened to its closed neighborhood (the
-bag plus every neighbor of a bag member), so the expected step time of any
-bag member is fully determined by an ordering of that ground set.  One
-dynamic program serves both solvers.  Bottom-up, each bag keeps the
-admissible orderings its children can match on shared ground, each with a
-budget map {k: least time with k subtree nodes active} that folds in the
-children's maps; a child's profile records which of its orderings reached
-each least value.  Each node is counted and priced once, at its top bag:
-the bag whose parent does not hold it.  Top-down, reconstruction reads the
-recorded choices back: each bag splits its budget over its children, takes
-their recorded orderings, and splices them into one global sequence.
+Each node is counted and priced once, at its top bag: the bag whose parent
+does not hold it.  Its step time reads only P(v), its neighbors in the
+block nearest the seed that holds it; the others lie in blocks v leads
+into and cannot be active first.  So each bag is widened to its ground:
+the bag plus P(v) of each top member, closed under running intersection
+(never more than the closed neighborhood, bag_ground).  On a tree P(v) is
+v's parent.  One dynamic program serves both solvers.  Bottom-up, each
+bag keeps the admissible orderings its children can match on shared
+ground, each with a budget map {k: least time with k subtree nodes
+active} that folds in the children's maps; a child's profile records
+which of its orderings reached each least value.  Top-down,
+reconstruction reads the recorded choices back: each bag splits its
+budget over its children, takes their recorded orderings, and splices
+them into one global sequence.
 
 Both solvers run this DP, read at k = z.  Every bag orders its ground by
 one rule that the restriction of any z-sequence obeys, and prices each
 ordering while the search builds it (see _orderings); at z = node_count
 the rule leaves only permutations.  tw_full_optimal accepts only
 z = node_count.  Both refuse a ground of g > GROUND_CAP nodes, on the
-order of g! orderings, unless force=True.  tw_partial_optimal solves only
-the ball within z - 1 hops of the seed, all a z-sequence can activate.
+order of g! orderings, unless force=True, before any bag is solved.
+tw_partial_optimal solves only the ball within z - 1 hops of the seed,
+all a z-sequence can activate.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 
+from .decompose import _blocks
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       SizeGuardError, SolveResult, _ball, _induced,
                       _read_json, _step_time_masked, _write_json,
-                      check_instance, infeasible_result, sequence_time)
+                      check_instance, infeasible_result, mask_of,
+                      sequence_time)
 
 INF = math.inf
 
@@ -293,33 +299,56 @@ def _restrict(seq, members):
 
 
 def bag_ground(net: InfluenceNetwork, bag) -> frozenset:
-    """The bag plus every neighbor of a bag member."""
+    """The bag plus every neighbor of a bag member: the upper bound of a
+    ground (see _grounds)."""
     g = set(bag)
     for i in bag:
         g.update(net.neighbors(i))
     return frozenset(g)
 
 
-def _checked_ground(net, bag, force, names=None):
-    ground = bag_ground(net, bag)
-    g = len(ground)
-    if g > GROUND_CAP and not force:
-        ids = sorted(bag) if names is None else [names[v] for v in sorted(bag)]
-        raise SizeGuardError(
-            f"bag {ids} has a closed neighborhood of {g} nodes, "
-            f"above {GROUND_CAP}: on the order of {g}! orderings to "
-            f"enumerate; pass force=True")
-    return ground
+def _preds(net, seed):
+    """P(v) per node: v's neighbors in the block nearest the seed that
+    holds v, the only ones that can be active before v; the seed's is
+    empty.  Raises ValueError on a disconnected network."""
+    preds = [frozenset()] * net.node_count
+    for nodes, entry in _blocks(net, seed)[0]:
+        inside = frozenset(nodes)
+        for v in nodes:
+            if v != entry:
+                preds[v] = inside.intersection(net.neighbors(v))
+    return preds
 
 
-def _orderings(instance, bag, top, ground, kids=()):
+def _grounds(td, preds):
+    """Each bag's ground: the bag plus P(u) of each member u whose top bag it
+    is, closed under running intersection: v in P(u) joins every bag from
+    top(v) up to top(u), the two being comparable as u's bags meet v's."""
+    parent = td._orientation[0]
+    grounds = [set(b) for b in td.bags]
+    top, depth = {}, {-1: -1}
+    for t in td.topdown():
+        depth[t] = depth[parent[t]] + 1
+        for v in td.bags[t]:
+            top.setdefault(v, t)
+    for u, t in top.items():
+        for v in preds[u]:
+            b = top[v]
+            while depth[b] > depth[t]:
+                b = parent[b]
+                grounds[b].add(v)
+    return [frozenset(g) for g in grounds]
+
+
+def _orderings(instance, bag, top, ground, preds, kids=()):
     """Admissible orderings of the ground set, lexicographic, each priced.
 
     One rule holds for the restriction of every z-sequence to a ground of
-    g nodes: the seed leads whenever it is in the ground, every non-seed
-    bag member follows one of its neighbors, and between g - (n - z) and
-    min(g, z) nodes are ordered, as z nodes activate and n - z do not.  At
-    z = node_count the rule leaves only permutations.
+    g nodes: the seed leads whenever it is in the ground, every bag member
+    v with P(v) inside the ground (each top member) follows a node of P(v),
+    and between g - (n - z) and min(g, z) nodes are ordered, as z nodes
+    activate and n - z do not.  At z = node_count the rule leaves only
+    permutations.
 
     kids holds (shared ground, keys) pairs.  Each ordering comes with its
     restriction to every shared ground and is kept only when each
@@ -331,8 +360,7 @@ def _orderings(instance, bag, top, ground, kids=()):
     net = instance.network
     seed, alpha, beta = instance.seed, instance.alpha, instance.beta
     elems = sorted(ground)
-    bagset = frozenset(bag)
-    nbr = net._neighbor_mask
+    follow = {v: mask_of(preds[v]) for v in bag if preds[v] and preds[v] <= ground}
     lead = seed in ground
     lo = max(len(elems) - (net.node_count - instance.z), lead)
     hi = min(len(elems), instance.z)
@@ -354,7 +382,7 @@ def _orderings(instance, bag, top, ground, kids=()):
                 continue
             if not cur and lead and v != seed:
                 continue
-            if v in bagset and v != seed and not (placed_mask & nbr[v]):
+            if v in follow and not placed_mask & follow[v]:
                 continue
             nxt = rest
             for i in hits[v]:
@@ -427,10 +455,9 @@ def _profile(table, s):
     return prof
 
 
-def _solve_bag(instance, td, t, tables, force, names):
+def _solve_bag(instance, td, t, tables, ground, preds):
     """Bag t's table; _orderings prices only the members whose top bag is t."""
     members = td.bags[t]
-    ground = _checked_ground(instance.network, members, force, names)
     p = td.parent(t)
     top = members - td.bags[p] if p >= 0 else members
     shared = []
@@ -439,7 +466,7 @@ def _solve_bag(instance, td, t, tables, force, names):
         shared.append((s, _profile(tables[c], s)))
     table = _BagTable(ground, shared, [], [], [])
     for gamma, keys, count, total in _orderings(instance, members, top,
-                                                ground, shared):
+                                                ground, preds, shared):
         base = {count: total}
         bmap = _chain(base, [prof[key] for (_, prof), key
                              in zip(shared, keys)], instance.z)[-1]
@@ -506,13 +533,25 @@ def _check_td(net, td):
 
 def _tw_solve(instance, td, force, solver_name, names=None):
     """Tree DP along a valid td (min-fill's if None); a refusal calls v names[v]."""
+    try:
+        preds = _preds(instance.network, instance.seed)
+    except ValueError:  # disconnected, so z = n (tw-full) is out of reach
+        return infeasible_result(instance.seed, solver_name)
     if td is None:
         td = min_fill_decomposition(instance.network)
     z = instance.z
+    grounds = _grounds(td, preds)
+    t = max(range(len(grounds)), key=lambda t: len(grounds[t]))
+    if (g := len(grounds[t])) > GROUND_CAP and not force:
+        ids = [v if names is None else names[v] for v in sorted(td.bags[t])]
+        raise SizeGuardError(
+            f"bag {ids} has a ground of {g} nodes, above {GROUND_CAP}: on "
+            f"the order of {g}! orderings to enumerate; pass force=True "
+            "(--force on the command line)")
 
     tables = [None] * len(td.bags)
     for t in reversed(td.topdown()):
-        tables[t] = _solve_bag(instance, td, t, tables, force, names)
+        tables[t] = _solve_bag(instance, td, t, tables, grounds[t], preds)
     best, j = min(((m.get(z, INF), j) for j, m in enumerate(tables[td.root].maps)),
                   default=(INF, -1))
     if best == INF:

@@ -123,6 +123,18 @@ def star_net(leaves):
                                          for i in range(1, leaves + 1)])
 
 
+def clique_net(n):
+    return InfluenceNetwork(n, [(u, v, 1.0, 1.0)
+                                for u in range(n) for v in range(u + 1, n)])
+
+
+def wheel_net(rim):
+    """Hub 0 joined to every node of the cycle 1, ..., rim."""
+    rim_nodes = range(1, rim + 1)
+    return InfluenceNetwork(rim + 1, [(0, i, 1.0, 1.0) for i in rim_nodes]
+                            + [(i, i % rim + 1, 1.0, 1.0) for i in rim_nodes])
+
+
 def full_instance(net, seed=0, **kw):
     return DiffusionInstance(network=net, seed=seed, z=net.node_count, **kw)
 

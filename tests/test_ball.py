@@ -3,9 +3,11 @@
 tw_partial_optimal solves the sub-instance induced by the nodes within
 z - 1 hops of the seed and replays its sequence on the whole network.  The
 ball's totals must equal the unrestricted tree DP's to 1e-12 relative at
-every z, a sparse solve must run on the ball alone, a bag the ball cuts
-away must no longer trip the ground cap, and a refusal inside the ball
-must name the network's own ids.  A given decomposition is cut to the bags
+every z, and a sparse solve must run on the ball alone.  A bag's ground is
+the bag plus the neighbors its top members can follow (see test_grounds),
+so it takes a clique, not a hub, to pass GROUND_CAP: a clique the ball
+cuts away must no longer trip the cap, and a refusal inside the ball must
+name the network's own ids.  A given decomposition is cut to the bags
 that add ball nodes to their nearest kept ancestor's.
 """
 
@@ -87,11 +89,11 @@ def test_sparse_tw_partial_solves_a_ball_of_at_most_22_nodes(monkeypatch):
 
 
 def test_a_hub_beyond_the_ball_no_longer_trips_the_ground_cap():
-    # path 0-1-2-3-4, node 4 a hub of degree 12, 4 hops from the seed: its
-    # bag's ground has 13 nodes, over GROUND_CAP, but z = 4 reaches 3 hops
+    # path 0-1-2-3-4, node 4 in a 10-clique on 4-13, 4 hops from the seed:
+    # its bag's ground has 10 nodes, over GROUND_CAP, but z = 4 reaches 3 hops
     edges = [(i, i + 1, 1.0, 2.0) for i in range(4)]
-    edges += [(4, 5 + i, 1.5, 0.5) for i in range(11)]
-    inst = DiffusionInstance(InfluenceNetwork(16, edges), 0, 4)
+    edges += [(u, v, 1.5, 0.5) for u in range(4, 14) for v in range(u + 1, 14)]
+    inst = DiffusionInstance(InfluenceNetwork(14, edges), 0, 4)
     with pytest.raises(SizeGuardError):
         treewidth._tw_solve(inst, None, False, "tw-partial")
     got = tw_partial_optimal(inst)
@@ -100,20 +102,20 @@ def test_a_hub_beyond_the_ball_no_longer_trips_the_ground_cap():
 
 
 def test_a_refusal_inside_the_ball_names_the_networks_ids():
-    # hub 20 with leaves 8-19 and a path 0-7 hanging off leaf 19; at z = 3
-    # from leaf 8 the ball is the star, ids 8-20 renumbered 0-12, and every
-    # bag holding the hub has a 13-node ground, over GROUND_CAP
-    edges = [(v, 20, 1.0, 2.0) for v in range(8, 20)]
-    edges += [(i, i + 1, 1.0, 1.0) for i in range(7)] + [(7, 19, 1.0, 1.0)]
-    net = InfluenceNetwork(21, edges)
+    # a 10-clique on 8-17 and a path 0-7 hanging off 17; at z = 3 from 8
+    # the ball is the clique and node 7, ids 7-17 renumbered 0-10, and the
+    # clique's bag has a 10-node ground, over GROUND_CAP
+    edges = [(u, v, 1.0, 2.0) for u in range(8, 18) for v in range(u + 1, 18)]
+    edges += [(i, i + 1, 1.0, 1.0) for i in range(7)] + [(7, 17, 1.0, 1.0)]
+    net = InfluenceNetwork(18, edges)
     inst = DiffusionInstance(net, 8, 3)
     for td in (None, min_fill_decomposition(net)):
-        with pytest.raises(SizeGuardError, match="closed neighborhood of 13 "
-                           "nodes") as err:
+        with pytest.raises(SizeGuardError, match="has a ground of 10 nodes"
+                           ) as err:
             tw_partial_optimal(inst, td)
         ids = [int(x) for x in re.match(r"bag \[([\d, ]+)\]",
                                         str(err.value)).group(1).split(", ")]
-        assert 20 in ids and all(8 <= v <= 20 for v in ids)
+        assert 17 in ids and all(8 <= v <= 17 for v in ids)
         got = tw_partial_optimal(inst, td, force=True)
         assert _close(got.total_time, dp_optimal(inst).total_time)
 

@@ -10,8 +10,8 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        validate_decomposition)
 from stratdiff import treewidth
 from stratdiff.network import _step_time_masked
-from helpers import (full_instance, path_net, random_tree, star_net,
-                     theta2_graph)
+from helpers import (clique_net, full_instance, path_net, random_tree,
+                     star_net, theta2_graph, wheel_net)
 
 
 def path_td():
@@ -97,10 +97,12 @@ def test_min_fill_valid_on_random_graphs():
 
 
 def _admissible(bag, inst, kids=()):
-    """Admissible orderings of the bag's ground, as the tree DP sees them."""
-    ground = treewidth._checked_ground(inst.network, bag, False)
-    return tuple(g for g, _, _, _ in
-                 treewidth._orderings(inst, bag, frozenset(bag), ground, kids))
+    """Admissible orderings of a root bag's ground, as the tree DP sees
+    them: the bag plus P(v) of each member."""
+    preds = treewidth._preds(inst.network, inst.seed)
+    ground = frozenset(bag).union(*(preds[v] for v in bag))
+    return tuple(g for g, _, _, _ in treewidth._orderings(
+        inst, bag, frozenset(bag), ground, preds, kids))
 
 
 def test_enumerate_admissible_seed_leads():
@@ -132,17 +134,18 @@ def test_orderings_obey_the_rule_at_every_z():
                else theta2_graph(n, rng))
         seed = rng.randrange(n)
         td = min_fill_decomposition(net)
+        preds = treewidth._preds(net, seed)
+        grounds = treewidth._grounds(td, preds)
         for z in range(1, n + 1):
             inst = DiffusionInstance(net, seed, z, rng.choice((1.0, 0.5)))
             for t, bag in enumerate(td.bags):
                 p = td.parent(t)
                 top = bag - td.bags[p] if p >= 0 else bag
-                ground = bag_ground(net, bag)
-                g = len(ground)
+                g = len(grounds[t])
                 for gamma, _, count, total in treewidth._orderings(
-                        inst, bag, top, ground):
+                        inst, bag, top, grounds[t], preds):
                     assert g - (n - z) <= len(gamma) <= min(g, z)
-                    if seed in ground:
+                    if seed in grounds[t]:
                         assert gamma[0] == seed
                     mask, want = 0, 0.0
                     for x in gamma:
@@ -166,18 +169,29 @@ def test_orderings_stop_at_z_nodes():
 def test_enumerate_admissible_child_filter():
     net = path_net(3)
     inst = DiffusionInstance(net, 0, 2)
-    # the kid's shared ground is {1, 2}; it insists 1 activates and 2
-    # stays unactivated
-    got = _admissible({1}, inst, kids=[(frozenset({1, 2}), {(1,)})])
-    # ground of bag {1} is {0,1,2}; every surviving ordering must agree:
-    # 1 right after 0, 2 never activated
+    # the ground of bag {1} is {0, 1}, as P(1) = {0}
+    assert _admissible({1}, inst) == ((0,), (0, 1))
+    # the kid's shared ground is {1}; it insists 1 activates, so every
+    # surviving ordering must agree: 1 right after 0
+    got = _admissible({1}, inst, kids=[(frozenset({1}), {(1,)})])
     assert got == ((0, 1),)
 
 
-def test_enumerate_admissible_cap():
-    net = InfluenceNetwork(11, [(0, i, 1, 1) for i in range(1, 11)])
-    with pytest.raises(SizeGuardError):
-        treewidth._checked_ground(net, {0}, False)
+def test_enumerate_admissible_cap(monkeypatch):
+    # a refusal comes before any bag enumerates an ordering, naming a bag
+    # and its ground: in K10, and in a wheel seeded on its rim, some
+    # ground holds every node
+    def never(*args):
+        raise AssertionError("_orderings ran before the refusal")
+
+    monkeypatch.setattr(treewidth, "_orderings", never)
+    for inst in (full_instance(clique_net(10)),
+                 DiffusionInstance(wheel_net(12), 3, 4)):
+        n = inst.network.node_count
+        with pytest.raises(SizeGuardError, match=(
+                rf"^bag \[[\d, ]+\] has a ground of {n} nodes, above 9: on "
+                rf"the order of {n}! orderings .* force=True \(--force")):
+            tw_partial_optimal(inst)
 
 
 def test_td_json_roundtrip(tmp_path):
@@ -312,10 +326,14 @@ def test_tw_rejects_bad_decomposition():
 
 
 def test_tw_cap_guard():
-    net = InfluenceNetwork(11, [(0, i, 1, 1) for i in range(1, 11)])
-    inst = full_instance(net)
+    # seeded on the rim of a wheel, the hub's bag has an 11-node ground;
+    # seeded at the hub, no ground passes 6 nodes
+    net = wheel_net(10)
     with pytest.raises(SizeGuardError):
-        tw_full_optimal(inst, min_fill_decomposition(net))
+        tw_full_optimal(full_instance(net, seed=1), min_fill_decomposition(net))
+    inst = full_instance(net)
+    assert abs(tw_full_optimal(inst).total_time
+               - dp_optimal(inst).total_time) <= 1e-9
 
 
 def test_tw_full_on_seeded_trees():
@@ -407,16 +425,20 @@ CYCLE6 = InfluenceNetwork(6, [(i, (i + 1) % 6, 1.0, 1.0) for i in range(6)])
 
 
 @pytest.mark.parametrize("net, seed, want", [
-    (star_net(4), 0, (0, 1, 2, 3, 4)),
-    (star_net(4), 2, (2, 0, 1, 3, 4)),
-    (path_net(6), 2, (2, 1, 0, 3, 4, 5)),
-    (CYCLE6, 0, (0, 1, 2, 3, 4, 5)),
+    (star_net(4), 0, [(0,), (0, 3), (0, 2, 3), (0, 1, 2, 3), (0, 4, 1, 2, 3)]),
+    (star_net(4), 2, [(2,), (2, 0), (2, 0, 3), (2, 0, 1, 3), (2, 0, 4, 1, 3)]),
+    (path_net(6), 2, [(2,), (2, 1), (2, 1, 0), (2, 3, 1, 0), (2, 3, 4, 1, 0),
+                      (2, 3, 4, 5, 1, 0)]),
+    (CYCLE6, 0, [(0, 1, 2, 3, 4, 5)[:z] for z in range(1, 7)]),
 ], ids=["star-centre", "star-leaf", "path", "cycle"])
 def test_tw_tie_breaking_is_pinned(net, seed, want):
     # Unit weights tie many orderings; each solve must return the same one
-    # of them, and the z-prefixes of the full order at every partial z.
+    # of them, at dp_optimal's total.  Under ties a partial answer need not
+    # be a z-prefix of the full order.
     n = net.node_count
-    assert tw_full_optimal(DiffusionInstance(net, seed, n)).sequence == want
+    assert tw_full_optimal(DiffusionInstance(net, seed, n)).sequence == want[-1]
     for z in range(1, n + 1):
-        got = tw_partial_optimal(DiffusionInstance(net, seed, z)).sequence
-        assert got == want[:z]
+        inst = DiffusionInstance(net, seed, z)
+        got = tw_partial_optimal(inst)
+        assert got.sequence == want[z - 1]
+        assert got.total_time == dp_optimal(inst).total_time
