@@ -34,13 +34,8 @@ def _write_json(payload: dict, out):
 
 def _load_instance_with_overrides(args) -> network.DiffusionInstance:
     inst = network.load_instance(args.instance)
-    fields = {}
-    if args.z is not None:
-        fields["z"] = args.z
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.beta is not None:
-        fields["beta"] = args.beta
+    fields = {f: getattr(args, f) for f in ("z", "alpha", "beta")
+              if getattr(args, f) is not None}
     if fields:
         inst = dataclasses.replace(inst, **fields)
     network.check_instance(inst)
@@ -73,6 +68,8 @@ SOLVERS = {
 
 
 def _run_solver(inst, args):
+    if args.td and args.solver not in ("tw-full", "tw-partial"):
+        raise ValueError(f"--td applies to tw-full and tw-partial, not to {args.solver}")
     if args.force:
         print("warning: size guards disabled", file=sys.stderr)
     td = treewidth.load_td(args.td) if args.td else None

@@ -130,6 +130,15 @@ def _check_layer(layer, candidates, kept, bytes_per_state, force):
             f"pass force=True")
 
 
+def _neighbor_masks(net: InfluenceNetwork):
+    """Each node's neighbours as a bitmask, built from the edge list."""
+    nbr = [0] * net.node_count
+    for u, v, _, _ in net.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def _dp_dict(instance: DiffusionInstance, force: bool = False):
     """Push DP over a dict of masks; the optimal sequence, or None.
 
@@ -141,7 +150,7 @@ def _dp_dict(instance: DiffusionInstance, force: bool = False):
     n = net.node_count
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    nbr = net._neighbor_mask
+    nbr = _neighbor_masks(net)
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
     kept = 1
@@ -216,14 +225,14 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     n = net.node_count
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    nbr = np.array(net._neighbor_mask, dtype=np.int64)
+    nbr = _neighbor_masks(net)
+    minc = [_step_time_masked(net, nbr[i], i, alpha, beta) for i in range(n)]
+    nbr = np.array(nbr, dtype=np.int64)
     masks = np.array([1 << seed], dtype=np.int64)
     times = np.zeros(1)
     layers = []  # per layer after the seed's: (masks, last activated node)
     kept = 1
     ub = greedy_sequence(instance).total_time * (1 + 1e-9)
-    minc = [_step_time_masked(net, net._neighbor_mask[i], i, alpha, beta)
-            for i in range(n)]
     cheap = sorted(range(n), key=minc.__getitem__)
 
     for layer in range(2, instance.z + 1):

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .network import (DiffusionInstance, InfluenceNetwork, SequenceError)
+from .network import DiffusionInstance, InfluenceNetwork, SequenceError, _node_ids
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def extract_cover(sc: SetCoverInstance, sequence) -> frozenset:
     u = sc.universe_size
     z = u * (s + 1) + 1
     n = 1 + 3 * s + u * (s + 1)
-    seq = tuple(int(v) for v in sequence)
+    seq = _node_ids(sequence)
     if len(seq) != z:
         raise SequenceError(f"sequence must activate exactly {z} nodes")
     if seq[0] != 0:

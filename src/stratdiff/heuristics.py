@@ -71,7 +71,7 @@ def majority_sequence(instance: DiffusionInstance, *, rng=None) -> SolveResult:
     net = instance.network
 
     def count(i, st, mask):
-        return (net.neighbor_mask(i) & mask).bit_count()
+        return sum(1 for j, _ in net.incoming(i) if (mask >> j) & 1)
 
     return _run(instance, count, "majority", rng)
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import index
 
 INF = math.inf
 # dp_optimal refuses a DP layer, and InfluenceNetwork a network, whose
 # estimated bytes pass this; a node costs _NODE_BYTES (tracemalloc peak of
-# building an edgeless network) plus its neighbour mask
+# building an edgeless network)
 DP_MEMORY_BUDGET = 1 << 30
 _NODE_BYTES = 112
 
@@ -61,13 +62,14 @@ class InfluenceNetwork:
     edges is an iterable of (u, v, w_uv, w_vu) records; w_uv is the influence
     u exerts on v.  Records are normalized so u < v and sorted.  The
     constructor rejects structural breakage (self-loops, duplicate pairs,
-    out-of-range ids) and a node count whose per-node storage, neighbour
-    masks included, would pass DP_MEMORY_BUDGET; value-level problems such
-    as negative weights are tolerated here and reported by validate().
+    out-of-range ids) and a node count whose per-node storage would pass
+    DP_MEMORY_BUDGET; value-level problems such as negative weights are
+    tolerated here and reported by validate().  The one adjacency is the
+    incoming lists, so storage is linear in nodes plus edges.
     """
 
     __slots__ = ("node_count", "edges", "external_influence", "total_influence",
-                 "_incoming", "_neighbor_mask")
+                 "_incoming")
 
     def __init__(self, node_count: int, edges=(), external_influence=None):
         if node_count < 1:
@@ -89,12 +91,7 @@ class InfluenceNetwork:
             seen.add((u, v))
             records.append((u, v, float(wuv), float(wvu)))
         records.sort(key=lambda r: (r[0], r[1]))
-        # a mask takes 28 bytes plus 4 per 30 bits of its node's largest
-        # neighbour (read only if masks n bits long would not fit)
         need = node_count * _NODE_BYTES
-        if need + node_count * (28 + node_count // 30 * 4) > DP_MEMORY_BUDGET:
-            top = {v: u for u, v, _, _ in records} | {u: v for u, v, _, _ in records}
-            need += sum(28 + t // 30 * 4 for t in top.values())
         if need > DP_MEMORY_BUDGET:
             raise ValueError(
                 f"node_count {node_count:,} needs about {need / 2**20:,.0f} MiB "
@@ -108,12 +105,9 @@ class InfluenceNetwork:
                 raise ValueError("external_influence length must equal node_count")
 
         incoming = [[] for _ in range(node_count)]
-        nbr_mask = [0] * node_count
         for u, v, wuv, wvu in records:
             incoming[v].append((u, wuv))
             incoming[u].append((v, wvu))
-            nbr_mask[u] |= 1 << v
-            nbr_mask[v] |= 1 << u
         total = []
         for i in range(node_count):
             incoming[i].sort()
@@ -127,14 +121,10 @@ class InfluenceNetwork:
         self.external_influence = ext
         self.total_influence = tuple(total)
         self._incoming = tuple(tuple(lst) for lst in incoming)
-        self._neighbor_mask = tuple(nbr_mask)
 
     def incoming(self, i: int):
         """Pairs (j, w_ji) for neighbors j of i, ascending by j."""
         return self._incoming[i]
-
-    def neighbor_mask(self, i: int) -> int:
-        return self._neighbor_mask[i]
 
     def neighbors(self, i: int):
         return tuple(j for j, _ in self._incoming[i])
@@ -268,6 +258,16 @@ def expected_step_time(net: InfluenceNetwork, active, i: int,
     return _step_time_masked(net, mask, i, alpha, beta)
 
 
+def _node_ids(sequence) -> tuple:
+    """Ids through operator.index: Python and numpy ints pass, 1.7 does not."""
+    seq = tuple(sequence)
+    try:
+        return tuple(map(index, seq))
+    except TypeError:
+        bad = next(v for v in seq if not hasattr(v, "__index__"))
+        raise SequenceError(f"node id {bad!r} is not an integer") from None
+
+
 def sequence_time(instance: DiffusionInstance, sequence,
                   solver: str = "sequence") -> SolveResult:
     """Evaluate a fixed activation sequence under the instance's model.
@@ -279,7 +279,7 @@ def sequence_time(instance: DiffusionInstance, sequence,
     validated here: callers run check_instance first.
     """
     net = instance.network
-    seq = tuple(map(int, sequence))
+    seq = _node_ids(sequence)
     if not seq:
         raise SequenceError("sequence is empty")
     if seq[0] != instance.seed:

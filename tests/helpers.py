@@ -221,5 +221,6 @@ def reference_greedy(instance, rng=None):
 def reference_majority(instance, rng=None):
     net = instance.network
     return _reference_run(
-        instance, lambda i, st, mask: (net.neighbor_mask(i) & mask).bit_count(),
+        instance,
+        lambda i, st, mask: sum((mask >> j) & 1 for j in net.neighbors(i)),
         "majority", rng)

@@ -176,6 +176,17 @@ def test_solve_treewidth_with_td_file(tmp_path, capsys):
     assert json.loads(out)["total_time"] == dp_optimal(inst).total_time
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_td_is_refused_for_a_solver_that_reads_none(tmp_path, capsys, command):
+    net = path_net(5)
+    p = write_instance(tmp_path, full_instance(net))
+    tdp = str(tmp_path / "dec.json")
+    save_td(min_fill_decomposition(net), tdp)
+    code, out, err = run(capsys, command, p, "--solver", "dp", "--td", tdp)
+    assert code == 1 and out == ""
+    assert err == "error: --td applies to tw-full and tw-partial, not to dp\n"
+
+
 def test_solve_strategy_a(tmp_path, capsys):
     p = write_instance(tmp_path, make_gk(2))
     code, out, _ = run(capsys, "solve", p, "--solver", "strategy-a")

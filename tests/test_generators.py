@@ -145,6 +145,8 @@ def test_extract_cover_rejections():
         extract_cover(sc, good[:-1] + (10,))  # repeated node
     with pytest.raises(SequenceError):
         extract_cover(sc, (0, 3, 7, 8, 10, 11, 12))  # blocker node
+    with pytest.raises(SequenceError, match="1.5"):
+        extract_cover(sc, (0, 1.5, 7, 8, 10, 11, 12))  # not an integer id
     with pytest.raises(SequenceError):
         extract_cover(sc, (0, 7, 1, 8, 10, 11, 12))  # copy before its set
     with pytest.raises(SequenceError):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import pytest
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        SequenceError, SolveResult, ZeroInfluenceError,
                        activation_probability, check_instance,
-                       expected_step_time,
+                       expected_step_time, greedy_sequence,
                        infeasible_result, load, load_instance, save,
-                       save_instance, sequence_time, validate,
-                       validate_instance)
+                       save_instance, sequence_time, tw_partial_optimal,
+                       validate, validate_instance)
 from stratdiff.exact import _step_times_masked
 from stratdiff.network import _step_time_masked
 from helpers import path_net, random_weighted_net
@@ -114,9 +115,13 @@ def test_sequence_time_seed_only_and_infeasible():
 
 def test_sequence_time_rejects_malformed():
     inst = DiffusionInstance(path_net(3), seed=0, z=3)
-    for bad in ([], [1, 0, 2], [0, 1, 1], [0, 9]):
+    for bad in ([], [1, 0, 2], [0, 1, 1], [0, 9], [0, 1.7, 2.2], [0.0, 1, 2]):
         with pytest.raises(SequenceError):
             sequence_time(inst, bad)
+    with pytest.raises(SequenceError, match="^node id 1.7 is not an integer$"):
+        sequence_time(inst, [0, 1.7, 2.2])
+    # ids go through operator.index, so numpy ints pass unchanged
+    assert sequence_time(inst, np.arange(3)).sequence == (0, 1, 2)
 
 
 def test_solve_result_invariants():
@@ -318,21 +323,33 @@ def test_step_times_masked_equals_scalar_kernel():
                     assert got.tolist() == want, (net.edges, i, alpha, beta)
 
 
-def test_neighbour_masks_count_against_the_memory_budget(tmp_path):
-    # a path's masks take about n^2 / 15 bytes: 200,000 nodes would need
-    # about 2.5 GiB, so the constructor refuses before building any mask,
-    # and the text reader names the file
-    edges = [(i, i + 1, 1.0, 1.0) for i in range(199_999)]
-    want = ("node_count 200,000 needs about 2,569 MiB of per-node storage, "
-            "over the 1,024 MiB budget")
-    with pytest.raises(ValueError, match=f"^{want}$"):
-        InfluenceNetwork(200_000, edges)
+def _path_build_peak(n):
+    edges = [(i, i + 1, 1.0, 1.0) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        InfluenceNetwork(n, edges)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_network_memory_is_linear_in_node_count():
+    # the one adjacency is the incoming lists: doubling a path's nodes about
+    # doubles the peak of building it (a mask per node would quadruple it)
+    assert _path_build_peak(40_000) <= 2.5 * _path_build_peak(20_000)
+
+
+def test_a_200k_node_path_loads_and_solves(tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("200000 199999\n" + "".join(f"{i} {i + 1} 1 1\n"
                                              for i in range(199_999)))
-    with pytest.raises(NetworkFormatError) as exc:
-        load(str(p))
-    assert str(exc.value) == f"{p}: {want}"
-    # a star's masks are small but for the centre's: it passes
+    net = load(str(p))
+    assert net.node_count == 200_000 and len(net.edges) == 199_999
+    # seeded mid-path, every step has one active neighbour of two: 2.0 each
+    inst = DiffusionInstance(net, seed=100_000, z=1_000)
+    assert greedy_sequence(inst).total_time == 1998.0
+    inst = DiffusionInstance(net, seed=100_000, z=6)
+    assert tw_partial_optimal(inst).total_time == 10.0
+    # a star loads too, though its centre neighbours every other node
     assert InfluenceNetwork(200_000, [(0, i, 1.0, 1.0)
                                       for i in range(1, 200_000)]).node_count

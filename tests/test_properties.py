@@ -2,7 +2,9 @@
 the two subset-DP kernels give identical results, tw_partial_optimal at
 z = n is tw_full_optimal, binarising integer weights shifts the optimum
 by the rewritten weight, and the block split from every seed matches a
-brute-force cut-node reference.
+brute-force cut-node reference.  A last test checks that a failing
+property, under the project's warning filters, still reports its
+falsifying example.
 
 Solver instances are small connected networks (2-8 nodes) whose weights
 include zeros, so unreachable nodes and infeasible targets are generated
@@ -14,6 +16,9 @@ networks of 1-14 nodes.
 import dataclasses
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +168,21 @@ def test_blocks_split_at_the_cut_nodes_from_every_seed(net):
                 assert sub.total_influence[loc] == \
                     pytest.approx(net.total_influence[glob], abs=1e-12)
         assert sorted(edges) == list(net.edges)
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # hypothesis reports a failure through libcst, whose import warns; under
+    # the project's warning filters the run must still end as a plain test
+    # failure that prints the example, not as a pytest INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "Falsifying example" in proc.stdout
