@@ -34,8 +34,13 @@ def _write_json(payload: dict, out):
 
 def _load_instance_with_overrides(args) -> network.DiffusionInstance:
     inst = network.load_instance(args.instance)
-    fields = {f: getattr(args, f) for f in ("z", "alpha", "beta")
-              if getattr(args, f) is not None}
+    fields = {}
+    if args.z is not None:
+        fields["z"] = args.z
+    if args.alpha is not None:
+        fields["alpha"] = args.alpha
+    if args.beta is not None:
+        fields["beta"] = args.beta
     if fields:
         inst = dataclasses.replace(inst, **fields)
     network.check_instance(inst)

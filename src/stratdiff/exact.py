@@ -130,9 +130,20 @@ def _check_layer(layer, candidates, kept, bytes_per_state, force):
             f"pass force=True")
 
 
-def _neighbor_masks(net: InfluenceNetwork):
-    """Each node's neighbours as a bitmask, built from the edge list."""
-    nbr = [0] * net.node_count
+def _neighbor_masks(net: InfluenceNetwork, force: bool):
+    """Each node's neighbours as a bitmask, built from the edge list; refused
+    before any is built when their bytes pass the budget, unless force=True
+    (about n^2 / 15 bytes on a path)."""
+    n = net.node_count
+    # a mask whose top bit is k takes 28 + 4 * (k // 30) bytes, and k < n
+    if n * (28 + 4 * (n // 30)) > DP_MEMORY_BUDGET and not force:
+        need = sum(28 + 4 * (inc[-1][0] // 30) for inc in net._incoming if inc)
+        if need > DP_MEMORY_BUDGET:
+            raise SizeGuardError(
+                f"subset DP refused: the neighbour masks of {n:,} nodes need "
+                f"about {need / 2**20:,.0f} MiB, over the "
+                f"{DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget; pass force=True")
+    nbr = [0] * n
     for u, v, _, _ in net.edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
@@ -150,7 +161,7 @@ def _dp_dict(instance: DiffusionInstance, force: bool = False):
     n = net.node_count
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    nbr = _neighbor_masks(net)
+    nbr = _neighbor_masks(net, force)
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
     kept = 1
@@ -225,7 +236,7 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     n = net.node_count
     seed = instance.seed
     alpha, beta = instance.alpha, instance.beta
-    nbr = _neighbor_masks(net)
+    nbr = _neighbor_masks(net, force)
     minc = [_step_time_masked(net, nbr[i], i, alpha, beta) for i in range(n)]
     nbr = np.array(nbr, dtype=np.int64)
     masks = np.array([1 << seed], dtype=np.int64)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
-                       SequenceError, SolveResult, ZeroInfluenceError,
-                       activation_probability, check_instance,
-                       expected_step_time, greedy_sequence,
+                       SequenceError, SizeGuardError, SolveResult,
+                       ZeroInfluenceError, activation_probability,
+                       check_instance, dp_optimal, expected_step_time,
+                       greedy_sequence,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, tw_partial_optimal,
                        validate, validate_instance)
@@ -350,6 +351,14 @@ def test_a_200k_node_path_loads_and_solves(tmp_path):
     assert greedy_sequence(inst).total_time == 1998.0
     inst = DiffusionInstance(net, seed=100_000, z=6)
     assert tw_partial_optimal(inst).total_time == 10.0
-    # a star loads too, though its centre neighbours every other node
-    assert InfluenceNetwork(200_000, [(0, i, 1.0, 1.0)
-                                      for i in range(1, 200_000)]).node_count
+    # the subset DP's neighbour masks would take about n^2 / 15 bytes: it
+    # refuses them before building any
+    with pytest.raises(SizeGuardError, match="^subset DP refused: the neighbour "
+                       "masks of 200,000 nodes need about 2,548 MiB, over the "
+                       "1,024 MiB budget; pass force=True$"):
+        dp_optimal(DiffusionInstance(net, seed=100_000, z=2))
+    # a star loads too, though its centre neighbours every other node, and
+    # its masks fit: only the centre's is wide
+    star = InfluenceNetwork(200_000, [(0, i, 1.0, 1.0)
+                                      for i in range(1, 200_000)])
+    assert dp_optimal(DiffusionInstance(star, seed=0, z=1)).total_time == 0.0
