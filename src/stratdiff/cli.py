@@ -173,11 +173,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    unused = [f"--{f}" for f in ("solver", "td", "force") if getattr(args, f)]
+    if args.sequence and unused:
+        raise ValueError(f"{', '.join(unused)} cannot be used with --sequence")
     inst = _load_instance_with_overrides(args)
     if args.sequence:
         seq = [int(x) for x in args.sequence.replace(",", " ").split()]
         solver_name = "given"
     else:
+        args.solver = args.solver or "dp"
         res = _run_solver(inst, args)
         if not res.feasible:
             print("error: solver produced an infeasible sequence",
@@ -270,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--trials", type=int, default=10000)
     pm.add_argument("--rng-seed", type=int, default=0)
     pm.add_argument("--sequence", help="comma-separated node ids")
-    pm.add_argument("--solver", choices=SOLVERS, default="dp",
-                    help="solver to produce the sequence when none is given")
+    pm.add_argument("--solver", choices=SOLVERS,
+                    help="solver for the sequence when none is given (dp)")
     pm.set_defaults(fn=cmd_simulate)
 
     pd = sub.add_parser("decompose", parents=[model],

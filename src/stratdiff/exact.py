@@ -12,6 +12,7 @@ numpy here, and import it only when they run.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .network import (DP_MEMORY_BUDGET, DiffusionInstance, InfluenceNetwork,
                       SizeGuardError, SolveResult, _step_time_masked,
@@ -22,8 +23,8 @@ INF = math.inf
 
 # brute_force_optimal refuses more sequences than 9!, the count at n = 10
 BRUTE_SEQUENCE_BUDGET = math.factorial(9)
-# Bytes per state (a layer's candidates plus the states kept so far), from
-# tracemalloc peaks of random_connected(n, 0.3) solves; see CHANGES.md
+# Bytes per state (a layer's candidates plus the states kept): tracemalloc
+# peaks of unpruned random_connected(n, 0.3) solves read 11.7-14.8, n 18-24
 _ARRAY_BYTES_PER_STATE = 14
 _DICT_BYTES_PER_STATE = 75
 # dp_optimal's numpy kernel runs for node counts in this range: below it the
@@ -90,20 +91,14 @@ def dp_optimal(instance: DiffusionInstance, *,
     """Subset dynamic program, exact for any z.
 
     States are activated node sets encoded as bitmasks, processed layer by
-    layer on set size.  Only states reachable with finite time are stored,
-    so memory scales with the reachable states, not with 2^n; each layer
-    keeps its states and their last activated node for the reconstruction.
-    Two kernels give the same answer: a Python loop over a dict of masks,
-    and a numpy kernel over sorted int64 arrays of masks.  The numpy kernel
-    runs for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES
-    (below the measured crossover its per-layer overhead loses; above the
-    top, int64 masks would overflow).  The numpy kernel also drops the
-    states whose time plus a lower bound on the remaining steps exceeds
-    the greedy total; the bound keeps every optimal path and its ties, so
-    the answer does not change (see _dp_layers).  Before building each
-    layer, either kernel estimates its memory from the layer's candidate
-    states and the states kept so far, and raises SizeGuardError when the
-    estimate passes DP_MEMORY_BUDGET, unless force=True.
+    layer on set size; only states reachable with finite time are stored.
+    Two kernels give the same answer: a Python loop over a dict of masks
+    and, for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES, a
+    numpy kernel that builds each layer in one pass over its (state, node)
+    pairs and drops the states a lower bound proves worse than the greedy
+    total (see _dp_layers).  Either kernel estimates a layer's memory
+    before building it and raises SizeGuardError past DP_MEMORY_BUDGET,
+    unless force=True.
     """
     check_instance(instance)
     n = instance.network.node_count
@@ -115,12 +110,7 @@ def dp_optimal(instance: DiffusionInstance, *,
 
 
 def _check_layer(layer, candidates, kept, bytes_per_state, force):
-    """Refuse to build a DP layer whose estimated memory passes the budget.
-
-    layer is the size of the active sets it would hold; candidates bounds
-    its states before deduplication, kept counts the states of the layers
-    held for the reconstruction.
-    """
+    """Refuse a DP layer whose estimated memory passes the budget."""
     need = bytes_per_state * (candidates + kept)
     if need > DP_MEMORY_BUDGET and not force:
         raise SizeGuardError(
@@ -165,10 +155,18 @@ def _dp_dict(instance: DiffusionInstance, force: bool = False):
     times = {1 << seed: 0.0}
     preds = [None, None]  # preds[k]: layer-k mask -> last activated node
     kept = 1
+    wide = _DICT_BYTES_PER_STATE + 4 * ((n - 1) // 30)  # at n mask bits
 
     for layer in range(2, instance.z + 1):
-        _check_layer(layer, len(times) * (n - layer + 1), kept,
-                     _DICT_BYTES_PER_STATE, force)
+        count, per = len(times) * (n - layer + 1), wide
+        if per * (count + kept) > DP_MEMORY_BUDGET and not force:
+            # over at the widest masks: count the frontier, per 30-bit width
+            widths = Counter(max(m.bit_length() - 1, i) // 30 for m in times
+                             for i in range(n) if not m >> i & 1 and nbr[i] & m)
+            count = sum(widths.values())
+            per = (sum(c * (_DICT_BYTES_PER_STATE + 4 * k) for k, c in
+                       widths.items()) + wide * kept) / (count + kept)
+        _check_layer(layer, count, kept, per, force)
         nxt = {}
         pred = {}
         for mask in sorted(times):
@@ -212,12 +210,12 @@ def _dp_dict(instance: DiffusionInstance, force: bool = False):
 def _dp_layers(instance: DiffusionInstance, force: bool = False):
     """Layered DP over sorted int64 arrays of masks; _dp_dict's answer.
 
-    Each layer holds only its reachable masks.  A new mask's time is the
-    least, over its members i, of its predecessor's time plus i's step time,
-    taken in ascending i with ties going to the later i; the final layer's
-    first least time picks the smallest mask.  Both rules reproduce the
-    push order of _dp_dict, and the additions are the same, so the answers
-    are identical.
+    Each layer is one pass over its (state, node) pairs, i joining S when
+    i is inactive with an active neighbour, in chunks of states: the new
+    masks are deduplicated once, _step_times_masked prices every pair, and
+    each new mask keeps the least time, ties to the largest node, as
+    _dp_dict's push order does; the additions are the same and the final
+    layer's first least time picks the smallest mask, so the answers agree.
 
     Branch and bound: a state S with time t is dropped when t + LB(S)
     exceeds UB * (1 + 1e-9), UB being the greedy total.  minc_i, i's step
@@ -238,24 +236,27 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     alpha, beta = instance.alpha, instance.beta
     nbr = _neighbor_masks(net, force)
     minc = [_step_time_masked(net, nbr[i], i, alpha, beta) for i in range(n)]
-    nbr = np.array(nbr, dtype=np.int64)
+    # rows in falling in-degree, the order _step_times_masked takes pairs in
+    rows = np.array(sorted(range(n), key=lambda i: -len(net._incoming[i])))
+    own, nbr = (1 << rows)[:, None], np.array(nbr, dtype=np.int64)[rows, None]
     masks = np.array([1 << seed], dtype=np.int64)
     times = np.zeros(1)
     layers = []  # per layer after the seed's: (masks, last activated node)
     kept = 1
     ub = greedy_sequence(instance).total_time * (1 + 1e-9)
     cheap = sorted(range(n), key=minc.__getitem__)
+    step = max(1, (1 << 15) // n)  # states per chunk: at most 32,768 pairs
 
     for layer in range(2, instance.z + 1):
-        # per node i, the masks it can join: i inactive, a neighbour active
-        grow = [((masks & (1 << i)) == 0) & ((masks & nbr[i]) != 0)
-                for i in range(n)]
+        # per chunk of states and row: the node is off, and a neighbour on
+        chunks = [masks[lo:lo + step] for lo in range(0, masks.size, step)]
+        grow = [((m & own) == 0) & ((m & nbr) != 0) for m in chunks]
         count = sum(map(np.count_nonzero, grow))
         _check_layer(layer, count, kept, _ARRAY_BYTES_PER_STATE, force)
         new = np.empty(count, dtype=np.int64)
         lo = 0
-        for i, g in enumerate(grow):
-            part = masks[g] | (1 << i)
+        for m, g in zip(chunks, grow):
+            part = (m | own)[g]
             new[lo:lo + part.size] = part
             lo += part.size
         new.sort()  # then keep each distinct mask once
@@ -264,15 +265,19 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
         new = new[first]
         best = np.full(new.size, INF)
         pred = np.zeros(new.size, dtype=np.int8)
-        for i, g in enumerate(grow):
-            prev = masks[g]
+        for lo, m, g in zip(range(0, masks.size, step), chunks, grow):
+            row = np.repeat(np.arange(n), np.count_nonzero(g, axis=1))
+            s = np.flatnonzero(g) - row * m.size + lo
+            i, prev = rows[row], masks[s]
             at = np.searchsorted(new, prev | (1 << i))
-            cand = times[g] + _step_times_masked(net, prev, i, alpha, beta)
-            win = cand <= best[at]
-            best[at[win]] = cand[win]
-            pred[at[win]] = i
+            cand = times[s] + _step_times_masked(net, prev, i, alpha, beta)
+            old = best[at]
+            np.minimum.at(best, at, cand)
+            pred[at[best[at] < old]] = -1  # a mask whose time fell forgets
+            win = cand == best[at]  # and takes the largest of its tied nodes
+            np.maximum.at(pred, at[win], i[win].astype(np.int8))
         # the bound's pass sets the layer's peak: free the pull's arrays first
-        del grow, part, prev, at, cand, win
+        del chunks, grow, part, row, s, i, prev, at, cand, old, win
         lb = np.zeros(new.size)
         short = np.full(new.size, instance.z - layer, dtype=np.int8)
         for i in cheap:  # add the cheapest inactive nodes LB still lacks
@@ -297,25 +302,39 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     return [seed] + rev[::-1]
 
 
-def _step_times_masked(net: InfluenceNetwork, masks, i: int,
+def _step_times_masked(net: InfluenceNetwork, masks, nodes,
                        alpha: float, beta: float):
-    """Array form of _step_time_masked over an int64 array of active masks.
+    """Array form of _step_time_masked: node nodes[k] given active masks[k].
 
-    Every element equals the scalar result bit for bit: the active in-weight
-    is summed in the same ascending-j order (an inactive neighbour adds an
-    exact 0.0), and the power is taken by Python's ``**`` on each distinct
-    ratio, because numpy's vectorised pow can differ from it in the last bit.
+    nodes is one node, or an array whose in-degrees do not increase, so the
+    pairs with an r-th in-neighbour form a prefix.  Each element equals the
+    scalar result bit for bit: the active in-weight is summed in the same
+    ascending-j order (an inactive neighbour adds an exact 0.0), and the
+    power is taken by Python's ``**`` on each distinct ratio, because
+    numpy's vectorised pow can differ from it in the last bit.
     """
     import numpy as np
-    w = net.total_influence[i]
-    if w <= 0.0:
-        return np.full(masks.shape, INF)
+    nodes = np.broadcast_to(nodes, masks.shape)
+    # runs of one node: where each ends, its size and its in-list, padded
+    ends = (np.flatnonzero(np.diff(nodes)) + 1).tolist() + [nodes.size]
+    size = np.diff([0] + ends)
+    runs = [net._incoming[nodes[e - 1]] for e in ends if e]
+    pad = ((0, 0.0),) * max(map(len, runs), default=0)
+    jw = np.array([x for lst in runs for p in lst + pad[len(lst):] for x in p],
+                  float).reshape(len(runs), len(pad), 2)
+    j, w = jw[..., 0].astype(np.intp), jw[..., 1].view(np.int64)
     s = np.zeros(masks.shape)
-    for j, wji in net._incoming[i]:
-        s += wji * ((masks >> j) & 1)
-    dead = s <= 0.0
-    with np.errstate(divide="ignore"):
-        ratio = w / s
+    live = len(runs)
+    for r in range(len(pad)):
+        while len(runs[live - 1]) <= r:  # the runs with an r-th neighbour
+            live -= 1
+        bit = masks[:ends[live - 1]] >> np.repeat(j[:live, r], size[:live])
+        bit &= 1
+        bit *= np.repeat(w[:live, r], size[:live])  # w's bits, or 0
+        s[:bit.size] += bit.view(np.float64)
+    dead = s <= 0.0  # as is 0 / 0, at zero total influence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.array(net.total_influence)[nodes] / s
     if alpha != 1.0:
         uniq, inv = np.unique(ratio, return_inverse=True)
         ratio = np.array([r ** alpha for r in uniq.tolist()])[inv]

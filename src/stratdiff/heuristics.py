@@ -28,13 +28,15 @@ def _run(instance: DiffusionInstance, pick, name, rng):
     seq = [instance.seed]
     mask = 1 << instance.seed
     key, heap = {}, []  # -score of each frontier node, and a heap over it
+    count = [0] * net.node_count  # each node's active neighbours
     for _ in range(instance.z - 1):
         # A score reads only its node's neighbours: re-price the last one's
         for i in net.neighbors(seq[-1]):
             if not (mask >> i) & 1:
+                count[i] += 1
                 st = _step_time_masked(net, mask, i, instance.alpha, instance.beta)
                 if st < INF:
-                    key[i] = k = -pick(i, st, mask)
+                    key[i] = k = -pick(st, count[i])
                     heapq.heappush(heap, (k, i))
         tied = []  # best score, ascending id; skip stale and repeated entries
         while heap and (not tied or heap[0][0] == key[tied[0]]):
@@ -59,7 +61,7 @@ def greedy_sequence(instance: DiffusionInstance, *, rng=None) -> SolveResult:
 
     Pass a random.Random as rng to break ties randomly instead.
     """
-    return _run(instance, lambda i, st, mask: -st, "greedy", rng)
+    return _run(instance, lambda st, count: -st, "greedy", rng)
 
 
 def majority_sequence(instance: DiffusionInstance, *, rng=None) -> SolveResult:
@@ -68,12 +70,7 @@ def majority_sequence(instance: DiffusionInstance, *, rng=None) -> SolveResult:
     The count ignores weights; nodes with zero activation probability are
     never picked.  Ties go to the smallest id, or to rng when given.
     """
-    net = instance.network
-
-    def count(i, st, mask):
-        return sum(1 for j, _ in net.incoming(i) if (mask >> j) & 1)
-
-    return _run(instance, count, "majority", rng)
+    return _run(instance, lambda st, count: count, "majority", rng)
 
 
 def strategy_a_gk(k: int, instance: DiffusionInstance | None = None) -> SolveResult:

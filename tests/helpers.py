@@ -113,6 +113,16 @@ def blocky_graph(rng, n):
     return InfluenceNetwork(max(seen) + 1, edges) if seen else path_net(2)
 
 
+def cycle_chord_block(n, rng, chord_prob=0.15, lo=0.5, hi=2.0):
+    """A biconnected block like the benchmark's chain blocks: the cycle
+    0, 1, ..., n - 1 plus random chords, per-direction uniform weights."""
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 2, n)
+              if rng.random() < chord_prob}
+    return InfluenceNetwork(n, [(u, v, rng.uniform(lo, hi), rng.uniform(lo, hi))
+                                for u, v in sorted(pairs)])
+
+
 def path_net(n, w=1.0):
     return InfluenceNetwork(n, [(i, i + 1, w, w) for i in range(n - 1)])
 

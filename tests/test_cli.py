@@ -297,6 +297,21 @@ def test_simulate_solver_sequence(tmp_path, capsys):
     assert json.loads(out)["solver"] == "greedy"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--solver", "dp"], "--solver"),
+    (["--td", "missing.td"], "--td"),
+    (["--force"], "--force"),
+    (["--force", "--td", "missing.td", "--solver", "greedy"],
+     "--solver, --td, --force"),
+])
+def test_simulate_sequence_refuses_flags_it_would_ignore(tmp_path, capsys,
+                                                         flags, named):
+    p = write_instance(tmp_path, full_instance(path_net(3)))
+    code, out, err = run(capsys, "simulate", p, "--sequence", "0,1,2", *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: {named} cannot be used with --sequence\n"
+
+
 def test_simulate_infeasible(tmp_path, capsys):
     net = InfluenceNetwork(3, [(0, 1, 1.0, 1.0), (1, 2, 0.0, 1.0)])
     p = write_instance(tmp_path, DiffusionInstance(net, 0, 3))

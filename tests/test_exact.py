@@ -9,8 +9,8 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
                        majority_sequence, make_gk, make_np_hardness,
                        random_connected, sequence_time, SetCoverInstance)
 from stratdiff import exact
-from helpers import (dp_kernel_result, full_instance, path_net,
-                     random_weighted_net, star_net)
+from helpers import (cycle_chord_block, dp_kernel_result, full_instance,
+                     path_net, random_weighted_net, star_net)
 
 INF = math.inf
 
@@ -206,6 +206,45 @@ def test_dp_kernels_agree_on_weak_bounds(net, seed, alpha, beta):
         assert dp_kernel_result(exact._dp_layers, inst) == want, z
 
 
+def _chain_block(n):
+    """A block as decompose hands it to the DP: external influence on some
+    nodes, one zero-weight direction (1 -> 0), and node n - 1 influenced by
+    no one, so no order activates it."""
+    rng = random.Random(n)
+    dead = n - 1
+    edges = [(u, v, 0.0 if v == dead else a, 0.0 if u == dead else b)
+             for u, v, a, b in cycle_chord_block(n, rng).edges]
+    edges[0] = edges[0][:3] + (0.0,)
+    ext = [rng.choice([0.0, 0.0, 0.5]) for _ in range(dead)] + [0.0]
+    return InfluenceNetwork(n, edges, ext)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_dp_kernels_agree_on_chain_blocks(n, alpha):
+    net = _chain_block(n)
+    assert net.total_influence[n - 1] == 0.0 and net.edges[0][3] == 0.0
+    for z in range(1, n + 1):
+        inst = DiffusionInstance(net, 0, z, alpha)
+        want = dp_kernel_result(exact._dp_dict, inst)
+        assert dp_kernel_result(exact._dp_layers, inst) == want, z
+        assert want.feasible == (z < n)
+
+
+@pytest.mark.parametrize("inst", [
+    # alpha = 0: every step takes 1 / beta, so every new mask's candidates
+    # tie and the largest node must win (the middle layers hold up to
+    # 12,870 states, in several chunks)
+    full_instance(random_connected(17, 0.3, rng_seed=17), alpha=0.0,
+                  beta=0.7),
+    # a weak bound keeps several chunks' worth of states, and a mask's time
+    # falls in a later chunk than the one that first set its node
+    full_instance(random_connected(16, 0.3, rng_seed=2), alpha=0.2),
+], ids=["ties", "later-chunk-wins"])
+def test_dp_kernels_agree_across_chunks(inst):
+    assert exact._dp_layers(inst) == exact._dp_dict(inst)
+
+
 @pytest.mark.parametrize("inst", [
     # alpha = 0: every state sits exactly at the greedy total
     DiffusionInstance(random_connected(14, 0.3, rng_seed=14), 3, 14, 0.0, 0.7),
@@ -251,6 +290,20 @@ def test_dp_kernel_follows_node_count(monkeypatch, n, kernel):
     res = dp_optimal(full_instance(path_net(n)))
     assert res.total_time == 2.0 * (n - 2) + 1.0
     assert res.sequence == tuple(range(n))
+
+
+def test_dp_dict_guard_charges_each_mask_its_width():
+    # seeded at the centre, layer 2 holds 199,999 masks of up to 200,000
+    # bits: refused before any is built
+    star = InfluenceNetwork(200_000, [(0, i, 1.0, 1.0)
+                                      for i in range(1, 200_000)])
+    with pytest.raises(SizeGuardError, match="^subset DP refused at layer 2: "
+                       "199,999 candidate states plus 1 kept need about "
+                       "2,557 MiB"):
+        dp_optimal(DiffusionInstance(star, seed=0, z=2))
+    # a path's frontier is two nodes, however wide its masks
+    inst = DiffusionInstance(path_net(60_000), seed=30_000, z=5)
+    assert dp_optimal(inst).total_time == 8.0
 
 
 def test_dp_memory_follows_reachable_states():

@@ -322,6 +322,15 @@ def test_step_times_masked_equals_scalar_kernel():
                     want = [_step_time_masked(net, m, i, alpha, beta)
                             for m in range(1 << 6)]
                     assert got.tolist() == want, (net.edges, i, alpha, beta)
+                # every pair at once, in non-increasing in-degree, nodes of
+                # one in-degree interleaved
+                pairs = [(m, i) for m in range(1 << 6) for i in range(6)]
+                random.Random(len(net.edges)).shuffle(pairs)
+                pairs.sort(key=lambda p: -len(net.incoming(p[1])))
+                m, i = (np.array(col) for col in zip(*pairs))
+                got = _step_times_masked(net, m, i, alpha, beta)
+                want = [_step_time_masked(net, *p, alpha, beta) for p in pairs]
+                assert got.tolist() == want, (net.edges, alpha, beta)
 
 
 def _path_build_peak(n):
