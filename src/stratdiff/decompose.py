@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
-                      _induced, check_instance, infeasible_result,
-                      sequence_time)
+                      _induced, infeasible_result, sequence_time)
 
 
 def _blocks(net: InfluenceNetwork, root: int):
@@ -120,10 +119,10 @@ def solve_full_via_decomposition(instance: DiffusionInstance,
     """Solve full diffusion by solving each block and splicing the sequences.
 
     solver is any full-diffusion solver taking a DiffusionInstance, e.g.
-    dp_optimal.  The result is the replay of the merged sequence, whose
-    total equals the sum of block optima up to rounding.
+    dp_optimal; each block's sub-instance, like the instance itself, was
+    checked when it was built.  The result is the replay of the merged
+    sequence, whose total equals the sum of block optima up to rounding.
     """
-    check_instance(instance)
     seq = [instance.seed]
     for comp in component_instances(instance):
         res = solver(comp.instance)

@@ -16,7 +16,7 @@ from collections import Counter
 
 from .network import (DP_MEMORY_BUDGET, DiffusionInstance, InfluenceNetwork,
                       SizeGuardError, SolveResult, _step_time_masked,
-                      check_instance, infeasible_result, sequence_time)
+                      infeasible_result, sequence_time)
 from .heuristics import greedy_sequence
 
 INF = math.inf
@@ -42,7 +42,6 @@ def brute_force_optimal(instance: DiffusionInstance, *,
     BRUTE_SEQUENCE_BUDGET unless force=True.  Among equal optima the
     lexicographically smallest sequence wins.
     """
-    check_instance(instance)
     net = instance.network
     n = net.node_count
     z = instance.z
@@ -100,7 +99,6 @@ def dp_optimal(instance: DiffusionInstance, *,
     before building it and raises SizeGuardError past DP_MEMORY_BUDGET,
     unless force=True.
     """
-    check_instance(instance)
     n = instance.network.node_count
     vector = DP_VECTOR_MIN_NODES <= n <= DP_VECTOR_MAX_NODES
     seq = (_dp_layers if vector else _dp_dict)(instance, force)

@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .network import DiffusionInstance, InfluenceNetwork, SequenceError, _node_ids
+from .network import (DiffusionInstance, InfluenceNetwork, SequenceError,
+                      _checked_sequence)
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,11 @@ def extract_cover(sc: SetCoverInstance, sequence) -> frozenset:
     u = sc.universe_size
     z = u * (s + 1) + 1
     n = 1 + 3 * s + u * (s + 1)
-    seq = _node_ids(sequence)
+    seq = _checked_sequence(sequence, 0, n)
     if len(seq) != z:
         raise SequenceError(f"sequence must activate exactly {z} nodes")
-    if seq[0] != 0:
-        raise SequenceError("sequence must start at the seed")
-    if len(set(seq)) != len(seq):
-        raise SequenceError("sequence repeats a node")
     chosen = set()
     for v in seq[1:]:
-        if not (0 <= v < n):
-            raise SequenceError(f"node {v} out of range")
         if 1 <= v <= s:
             chosen.add(v - 1)
         elif v <= 3 * s:

@@ -17,13 +17,12 @@ import heapq
 import math
 
 from .network import (DiffusionInstance, SolveResult, _step_time_masked,
-                      check_instance, infeasible_result, sequence_time)
+                      infeasible_result, sequence_time)
 
 INF = math.inf
 
 
 def _run(instance: DiffusionInstance, pick, name, rng):
-    check_instance(instance)
     net = instance.network
     seq = [instance.seed]
     mask = 1 << instance.seed

@@ -150,7 +150,9 @@ class DiffusionInstance:
 
     z counts the seed itself, so z=1 asks for nothing beyond the seed and
     z=node_count asks for full diffusion.  alpha and beta are the exponent
-    and scale of the activation probability.
+    and scale of the activation probability.  Construction, including
+    dataclasses.replace and load_instance, runs check_instance, so every
+    instance in hand is valid and no solver checks again.
     """
 
     network: InfluenceNetwork
@@ -158,6 +160,9 @@ class DiffusionInstance:
     z: int
     alpha: float = 1.0
     beta: float = 1.0
+
+    def __post_init__(self):
+        check_instance(self)
 
 
 @dataclass(frozen=True)
@@ -258,14 +263,26 @@ def expected_step_time(net: InfluenceNetwork, active, i: int,
     return _step_time_masked(net, mask, i, alpha, beta)
 
 
-def _node_ids(sequence) -> tuple:
-    """Ids through operator.index: Python and numpy ints pass, 1.7 does not."""
+def _checked_sequence(sequence, seed: int, n: int) -> tuple:
+    """The sequence's ids through operator.index (Python and numpy ints pass,
+    1.7 does not); SequenceError unless it starts at seed, repeats no node
+    and stays in 0..n-1."""
     seq = tuple(sequence)
     try:
-        return tuple(map(index, seq))
+        seq = tuple(map(index, seq))
     except TypeError:
         bad = next(v for v in seq if not hasattr(v, "__index__"))
         raise SequenceError(f"node id {bad!r} is not an integer") from None
+    if not seq:
+        raise SequenceError("sequence is empty")
+    if seq[0] != seed:
+        raise SequenceError(f"sequence must start at seed {seed}")
+    if len(set(seq)) != len(seq):
+        raise SequenceError("sequence repeats a node")
+    for v in seq:
+        if not (0 <= v < n):
+            raise SequenceError(f"node {v} out of range")
+    return seq
 
 
 def sequence_time(instance: DiffusionInstance, sequence,
@@ -275,21 +292,11 @@ def sequence_time(instance: DiffusionInstance, sequence,
     The active set grows prefix by prefix; an unactivatable step costs inf,
     making the total infinite, but later steps are still evaluated against
     the grown set, so an infeasible result keeps the whole sequence (unlike
-    a solver's, which is (seed,) with total inf).  The instance is not
-    validated here: callers run check_instance first.
+    a solver's, which is (seed,) with total inf).  The instance was checked
+    when it was built.
     """
     net = instance.network
-    seq = _node_ids(sequence)
-    if not seq:
-        raise SequenceError("sequence is empty")
-    if seq[0] != instance.seed:
-        raise SequenceError(f"sequence must start at seed {instance.seed}")
-    if len(set(seq)) != len(seq):
-        raise SequenceError("sequence repeats a node")
-    for v in seq:
-        if not (0 <= v < net.node_count):
-            raise SequenceError(f"node {v} out of range")
-
+    seq = _checked_sequence(sequence, instance.seed, net.node_count)
     mask = 1 << seq[0]
     steps = [0.0]
     total = 0.0

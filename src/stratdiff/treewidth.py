@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import index
 
@@ -37,8 +37,7 @@ from .decompose import _blocks
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       SizeGuardError, SolveResult, _ball, _induced,
                       _read_json, _step_time_masked, _write_json,
-                      check_instance, infeasible_result, mask_of,
-                      sequence_time)
+                      infeasible_result, mask_of, sequence_time)
 
 INF = math.inf
 
@@ -526,17 +525,10 @@ def _reconstruct(td, tables, z, j):
     return gstar
 
 
-def _check_td(net, td):
-    if td is not None and (bad := validate_decomposition(net, td)):
-        raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-
-
 def _tw_solve(instance, td, force, solver_name, names=None):
-    """Tree DP along a valid td (min-fill's if None); a refusal calls v names[v]."""
-    try:
-        preds = _preds(instance.network, instance.seed)
-    except ValueError:  # disconnected, so z = n (tw-full) is out of reach
-        return infeasible_result(instance.seed, solver_name)
+    """Tree DP along a valid td (min-fill's if None) on a connected network;
+    a refusal calls v names[v]."""
+    preds = _preds(instance.network, instance.seed)
     if td is None:
         td = min_fill_decomposition(instance.network)
     z = instance.z
@@ -571,12 +563,11 @@ def _tw_solve(instance, td, force, solver_name, names=None):
 def tw_full_optimal(instance: DiffusionInstance,
                     td: TreeDecomposition | None = None, *,
                     force: bool = False) -> SolveResult:
-    """Optimal full diffusion along a tree decomposition (z = node_count)."""
-    check_instance(instance)
+    """Optimal full diffusion along a tree decomposition (z = node_count):
+    tw_partial_optimal's answer, under this solver's name."""
     if instance.z != instance.network.node_count:
         raise ValueError("full-diffusion solver requires z = node_count")
-    _check_td(instance.network, td)
-    return _tw_solve(instance, td, force, "tw-full")
+    return replace(tw_partial_optimal(instance, td, force=force), solver="tw-full")
 
 
 def tw_partial_optimal(instance: DiffusionInstance,
@@ -588,8 +579,8 @@ def tw_partial_optimal(instance: DiffusionInstance,
     empty bag is dropped and one inside its nearest kept ancestor merged
     into that.  The bags meeting the (connected) ball form a subtree, so
     the kept bags form a tree, rooted at the one nearest the old root."""
-    check_instance(instance)
-    _check_td(instance.network, td)
+    if td is not None and (bad := validate_decomposition(instance.network, td)):
+        raise ValueError("invalid tree decomposition: " + "; ".join(bad))
     ball = _ball(instance)
     if len(ball) == instance.network.node_count:
         return _tw_solve(instance, td, force, "tw-partial")

@@ -247,6 +247,15 @@ def test_generate_random_with_z(tmp_path, capsys):
     assert len(json.loads(sout)["sequence"]) == 4
 
 
+def test_generate_random_refuses_z_above_n(tmp_path, capsys):
+    outp = tmp_path / "rnd.json"
+    code, out, err = run(capsys, "generate", "random", "--n", "5", "--z", "9",
+                         "--out", str(outp))
+    assert code == 1 and out == ""
+    assert err == "error: invalid instance: target z=9 outside 1..5\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_bad_sets(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "np-hard", "--universe", "2",
                        "--sets", "0,5", "--k", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -147,9 +148,8 @@ def test_validate_rejects_non_finite_weight(bad):
     net = InfluenceNetwork(3, [(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
     assert validate(net) == [
         f"non-finite weight {bad} on edge (0, 1) direction 1->0"]
-    inst = DiffusionInstance(net, seed=0, z=3)
     with pytest.raises(ValueError, match="invalid instance: non-finite weight"):
-        check_instance(inst)
+        DiffusionInstance(net, seed=0, z=3)
 
 
 @pytest.mark.parametrize("bad", [INF, -INF, math.nan])
@@ -164,11 +164,44 @@ def test_validate_instance_ranges():
     net = path_net(3)
     ok = DiffusionInstance(net, seed=0, z=3)
     assert validate_instance(ok) == []
-    assert validate_instance(DiffusionInstance(net, seed=9, z=3))
-    assert validate_instance(DiffusionInstance(net, seed=0, z=0))
-    assert validate_instance(DiffusionInstance(net, seed=0, z=3, alpha=1.5))
+    with pytest.raises(ValueError, match=r"^invalid instance: seed 9 out of "
+                       r"range$"):
+        DiffusionInstance(net, seed=9, z=3)
+    with pytest.raises(ValueError, match=r"^invalid instance: target z=0 "
+                       r"outside 1\.\.3$"):
+        DiffusionInstance(net, seed=0, z=0)
+    with pytest.raises(ValueError, match=r"^invalid instance: alpha 1\.5 "
+                       r"outside \[0, 1\]$"):
+        DiffusionInstance(net, seed=0, z=3, alpha=1.5)
     # beta = 0 would make every step infinite; rejected outright
-    assert validate_instance(DiffusionInstance(net, seed=0, z=3, beta=0.0))
+    with pytest.raises(ValueError, match=r"^invalid instance: beta 0\.0 "
+                       r"outside \(0, 1\]$"):
+        DiffusionInstance(net, seed=0, z=3, beta=0.0)
+
+
+def test_an_invalid_instance_cannot_be_built():
+    # a negative weight gives a step of 0.5, a probability of 2
+    net = InfluenceNetwork(3, [(0, 1, 1, 1), (1, 2, 1, -0.5)])
+    assert validate(net) == [
+        "negative weight -0.5 on edge (1, 2) direction 2->1"]
+    with pytest.raises(ValueError, match=r"^invalid instance: negative "
+                       r"weight -0\.5 on edge \(1, 2\) direction 2->1$"):
+        DiffusionInstance(net, seed=0, z=3)
+    ok = DiffusionInstance(path_net(3), seed=0, z=3)
+    with pytest.raises(ValueError, match=r"^invalid instance: target z=0 "
+                       r"outside 1\.\.3$"):
+        dataclasses.replace(ok, z=0)
+
+
+def test_load_instance_refuses_a_seed_out_of_range(tmp_path):
+    p = tmp_path / "inst.json"
+    save_instance(DiffusionInstance(path_net(3), seed=2, z=3), str(p))
+    d = json.loads(p.read_text())
+    d["seed"] = 3
+    p.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=r"^invalid instance: seed 3 out of "
+                       r"range$"):
+        load_instance(str(p))
 
 
 def test_json_roundtrip(tmp_path):

@@ -71,9 +71,8 @@ def test_rejects_bad_input():
     ([(0, 1, 1.0, 1.0)], [0.0, math.nan], "non-finite external influence nan"),
 ])
 def test_rejects_non_finite_instance(edges, external, problem):
-    inst = DiffusionInstance(InfluenceNetwork(2, edges, external), 0, 2)
     with pytest.raises(ValueError, match="invalid instance: " + problem):
-        simulate_sequence(inst, (0, 1), trials=10)
+        DiffusionInstance(InfluenceNetwork(2, edges, external), 0, 2)
 
 
 def test_as_dict_round_trip():
