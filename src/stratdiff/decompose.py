@@ -12,6 +12,7 @@ global sequence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
@@ -21,10 +22,10 @@ from .network import (DiffusionInstance, InfluenceNetwork, SolveResult,
 def _blocks(net: InfluenceNetwork, root: int):
     """Blocks of a connected network from one Tarjan DFS rooted at root.
 
-    Returns (blocks, cut_nodes): blocks is a list of (sorted nodes, entry)
-    in the order the DFS closes them, entry being the block's node nearest
-    the root, so every block closes before the block holding its entry.
-    Raises ValueError when the network is disconnected.
+    Returns a list of (sorted nodes, entry) in the order the DFS closes
+    them, entry being the block's node nearest the root, so every block
+    closes before the block holding its entry.  Raises ValueError when the
+    network is disconnected.
     """
     n = net.node_count
     adj = [net.neighbors(i) for i in range(n)]  # ascending
@@ -33,12 +34,10 @@ def _blocks(net: InfluenceNetwork, root: int):
     parent = [-1] * n
     mark = [0] * n  # edge-stack height before the tree edge into each node
     blocks = []
-    cuts = set()
     estack = []
 
     disc[root] = low[root] = 0
     timer = 1
-    root_children = 0
     stack = [(root, 0)]
     while stack:
         v, idx = stack[-1]
@@ -47,8 +46,6 @@ def _blocks(net: InfluenceNetwork, root: int):
             w = adj[v][idx]
             if disc[w] == -1:
                 parent[w] = v
-                if v == root:
-                    root_children += 1
                 mark[w] = len(estack)
                 estack.append((v, w))
                 disc[w] = low[w] = timer
@@ -68,24 +65,22 @@ def _blocks(net: InfluenceNetwork, root: int):
                     nodes = sorted({x for e in estack[mark[v]:] for x in e})
                     del estack[mark[v]:]
                     blocks.append((nodes, u))
-                    if u != root:
-                        cuts.add(u)
     if timer != n:
         raise ValueError("network is disconnected")
-    if root_children > 1:
-        cuts.add(root)
-    return blocks, frozenset(cuts)
+    return blocks
 
 
 def biconnected_components(net: InfluenceNetwork):
     """Blocks (as node sets) and cut nodes of a connected network.
 
     Returns (blocks, cut_nodes) where blocks is a list of frozensets in a
-    deterministic order and cut_nodes a frozenset.  A single-node network
-    has no blocks.  Raises ValueError when the network is disconnected.
+    deterministic order and cut_nodes, the nodes two or more blocks share,
+    a frozenset.  A single-node network has no blocks.  Raises ValueError
+    when the network is disconnected.
     """
-    blocks, cuts = _blocks(net, 0)
-    return [frozenset(nodes) for nodes, _ in blocks], cuts
+    blocks = [frozenset(nodes) for nodes, _ in _blocks(net, 0)]
+    shared = Counter(v for b in blocks for v in b)
+    return blocks, frozenset(v for v, c in shared.items() if c > 1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ def component_instances(instance: DiffusionInstance):
         return [ComponentInstance(instance=instance, to_global=(instance.seed,),
                                   entry=instance.seed)]
     return [ComponentInstance(*_induced(instance, blk, entry, len(blk)), entry)
-            for blk, entry in reversed(_blocks(instance.network, instance.seed)[0])]
+            for blk, entry in reversed(_blocks(instance.network, instance.seed))]
 
 
 def solve_full_via_decomposition(instance: DiffusionInstance,

@@ -2,11 +2,11 @@
 
 make_gk builds the layered grid family G(k) on which greedy-style
 heuristics pay a harmonic-number factor over the optimum.  make_np_hardness
-and make_inapprox embed set cover instances into diffusion networks; the
-former ties a cover of size k to a concrete optimal total t*, the latter
-scales weights so any good activation sequence reads off a near-minimal
-cover (extract_cover).  binarize_weights rewrites integer weights into
-unit-weight two-paths, preserving optima up to a known offset.
+and make_inapprox build one set cover embedding (_cover_network); the
+former ties a cover of size k to an optimal total t*, the latter scales
+weights so a good sequence reads off a near-minimal cover, which
+extract_cover finds by replaying it.  binarize_weights rewrites integer
+weights into unit-weight two-paths, preserving optima up to an offset.
 """
 
 from __future__ import annotations
@@ -15,9 +15,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .network import (DiffusionInstance, InfluenceNetwork, SequenceError,
-                      _checked_sequence)
+                      sequence_time)
+
+
+def _integer(x, what: str) -> int:
+    """x through operator.index (Python and numpy ints pass, 2.7 does not)."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -28,8 +37,10 @@ class SetCoverInstance:
     sets: tuple
 
     def __init__(self, universe_size: int, sets):
-        object.__setattr__(self, "universe_size", int(universe_size))
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in sets))
+        object.__setattr__(self, "universe_size",
+                           _integer(universe_size, "universe size"))
+        object.__setattr__(self, "sets", tuple(
+            frozenset(_integer(e, "element") for e in s) for s in sets))
         if self.universe_size < 1:
             raise ValueError("universe must be nonempty")
         if not self.sets:
@@ -76,45 +87,50 @@ def make_gk(k: int) -> DiffusionInstance:
     return DiffusionInstance(network=net, seed=0, z=kk + k)
 
 
+def _cover_network(sc: SetCoverInstance, copies: int, cost,
+                   relays: bool = False) -> InfluenceNetwork:
+    """The set cover embedding both reductions share.
+
+    Node ids: seed 0; set nodes 1..s; blocker nodes q_j = s+j and
+    q'_j = 2s+j, which feed only each other and so never activate; element
+    e's copy c at 1+3s + e*copies + c, fed by every set node covering e.
+    A set node costs exactly cost right after the seed: its blocker feeds
+    it cost - 1, as one edge or, with relays, through cost - 1 unit-weight
+    relay nodes numbered after the rest, each fed only by the blocker.
+    """
+    s = len(sc.sets)
+    nxt = 1 + 3 * s + sc.universe_size * copies
+    edges = []
+    for j, members in enumerate(sc.sets):
+        set_node, q = 1 + j, 1 + s + j
+        edges += [(0, set_node, 1.0, 1.0), (q, 1 + 2 * s + j, 1.0, 1.0)]
+        if relays:
+            for x in range(nxt, nxt + cost - 1):
+                edges += [(set_node, x, 0.0, 1.0), (q, x, 1.0, 0.0)]
+            nxt += cost - 1
+        else:
+            edges.append((q, set_node, cost - 1.0, 0.0))
+        edges += [(set_node, 1 + 3 * s + e * copies + c, 1.0, 0.0)
+                  for e in members for c in range(copies)]
+    return InfluenceNetwork(nxt, edges)
+
+
 def make_np_hardness(sc: SetCoverInstance, k: int, *,
                      binary_weights: bool = False):
     """Embed a set cover decision (cover of size <= k?) into diffusion.
 
-    Node ids: seed 0; set nodes 1..s; blocker nodes q_j = s+j and
-    q'_j = 2s+j (never activatable, they only inflate set node influence);
-    element nodes 1+3s..3s+|U|.  Returns (instance, t_star): a cover of
-    size <= k exists iff the optimum is <= t_star.  With binary_weights
-    the heavy blocker edge is replaced by unit-weight two-paths through
-    extra nodes, leaving t_star unchanged.
+    The embedding is _cover_network's with one copy of each element and
+    set nodes costing |U||S| + 1, the blocker's share as unit-weight relays
+    with binary_weights.  Returns (instance, t_star), the same either way:
+    a cover of size <= k exists iff the optimum is <= t_star.
     """
     s = len(sc.sets)
     u = sc.universe_size
     if not (1 <= k <= s):
         raise ValueError(f"k must be in 1..{s}")
-    heavy = float(u * s)
-    edges = []
-    nxt = 1 + 3 * s + u
-    for j in range(s):
-        set_node = 1 + j
-        q = 1 + s + j
-        qp = 1 + 2 * s + j
-        edges.append((0, set_node, 1.0, 1.0))
-        if binary_weights:
-            for _ in range(u * s):
-                x = nxt
-                nxt += 1
-                edges.append((set_node, x, 0.0, 1.0))  # x feeds the set node
-                edges.append((q, x, 1.0, 0.0))         # x only activatable via q
-        else:
-            edges.append((q, set_node, heavy, 0.0))
-        edges.append((q, qp, 1.0, 1.0))
-        for e in sorted(sc.sets[j]):
-            elem = 1 + 3 * s + e
-            edges.append((set_node, elem, 1.0, 0.0))
-    net = InfluenceNetwork(nxt, edges)
-    z = k + u + 1
-    t_star = k * (heavy + 1.0) + heavy
-    return DiffusionInstance(network=net, seed=0, z=z), t_star
+    net = _cover_network(sc, 1, u * s + 1, binary_weights)
+    t_star = k * (u * s + 1.0) + u * s
+    return DiffusionInstance(network=net, seed=0, z=k + u + 1), t_star
 
 
 def inapprox_scale(sc: SetCoverInstance, lam: float = 1.0) -> float:
@@ -127,60 +143,35 @@ def inapprox_scale(sc: SetCoverInstance, lam: float = 1.0) -> float:
 def make_inapprox(sc: SetCoverInstance, lam: float = 1.0) -> DiffusionInstance:
     """Embed set cover so good sequences encode near-minimal covers.
 
-    Each element gets |S|+1 copies, each set node costs exactly
-    a = z * |S|^(lam+1) to activate, and z = |U|(|S|+1) + 1, so the
-    optimal total divided by a is sandwiched between the minimal cover
-    size m and m * (1 + 1/|S|^lam).  Node ids: seed 0; set nodes 1..s;
-    blockers q_j = s+j, q'_j = 2s+j; element copies
-    1+3s + e*(s+1) + c for element e and copy c.
+    The embedding is _cover_network's with |S|+1 copies of each element
+    and set nodes costing exactly a = z * |S|^(lam+1), and
+    z = |U|(|S|+1) + 1, so the optimal total divided by a is sandwiched
+    between the minimal cover size m and m * (1 + 1/|S|^lam).
     """
     s = len(sc.sets)
-    u = sc.universe_size
-    a = inapprox_scale(sc, lam)
-    edges = []
-    for j in range(s):
-        set_node = 1 + j
-        q = 1 + s + j
-        qp = 1 + 2 * s + j
-        edges.append((0, set_node, 1.0, 1.0))
-        edges.append((q, set_node, a - 1.0, 0.0))
-        edges.append((q, qp, 1.0, 1.0))
-        for e in sorted(sc.sets[j]):
-            for c in range(s + 1):
-                copy = 1 + 3 * s + e * (s + 1) + c
-                edges.append((set_node, copy, 1.0, 0.0))
-    net = InfluenceNetwork(1 + 3 * s + u * (s + 1), edges)
-    z = u * (s + 1) + 1
-    return DiffusionInstance(network=net, seed=0, z=z)
+    net = _cover_network(sc, s + 1, inapprox_scale(sc, lam))
+    return DiffusionInstance(network=net, seed=0, z=sc.universe_size * (s + 1) + 1)
 
 
 def extract_cover(sc: SetCoverInstance, sequence) -> frozenset:
     """Read the cover off an activation sequence of a make_inapprox instance.
 
-    Checks the sequence is structurally feasible for the gadget (right
-    length, starts at the seed, no blocker nodes, every element copy
-    preceded by a covering set node) and returns the 0-based indices of
-    the set nodes it activates.
+    Replays it with sequence_time, which checks its ids, seed and repeats;
+    the wrong length, or a step that can never activate (a blocker, or an
+    element copy before any set node covering it), raises SequenceError.
+    Returns the 0-based indices of the set nodes it activates.
     """
+    inst = make_inapprox(sc)
+    res = sequence_time(inst, sequence)
+    if len(res.sequence) != inst.z:
+        raise SequenceError(f"sequence must activate exactly {inst.z} nodes")
     s = len(sc.sets)
-    u = sc.universe_size
-    z = u * (s + 1) + 1
-    n = 1 + 3 * s + u * (s + 1)
-    seq = _checked_sequence(sequence, 0, n)
-    if len(seq) != z:
-        raise SequenceError(f"sequence must activate exactly {z} nodes")
-    chosen = set()
-    for v in seq[1:]:
-        if 1 <= v <= s:
-            chosen.add(v - 1)
-        elif v <= 3 * s:
-            raise SequenceError(f"blocker node {v} can never activate")
-        else:
-            e = (v - 1 - 3 * s) // (s + 1)
-            if not any(e in sc.sets[j] for j in chosen):
-                raise SequenceError(
-                    f"element copy {v} activated before any covering set node")
-    return frozenset(chosen)
+    for v, st in zip(res.sequence, res.step_times):
+        if st == math.inf:  # set nodes always activate; blockers are s+1..3s
+            raise SequenceError(
+                f"blocker node {v} can never activate" if v <= 3 * s else
+                f"element copy {v} activated before any covering set node")
+    return frozenset(v - 1 for v in res.sequence[1:] if v <= s)
 
 
 def binarize_weights(net: InfluenceNetwork):

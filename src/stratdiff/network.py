@@ -75,22 +75,20 @@ class InfluenceNetwork:
         if node_count < 1:
             raise ValueError("node_count must be positive")
         records = []
-        seen = set()
-        for rec in edges:
-            u, v, wuv, wvu = rec
-            u = int(u)
-            v = int(v)
+        for u, v, wuv, wvu in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                bad = v if hasattr(u, "__index__") else u
+                raise ValueError(f"node id {bad!r} is not an integer") from None
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint out of range")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if u > v:
                 u, v, wuv, wvu = v, u, wvu, wuv
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
             records.append((u, v, float(wuv), float(wvu)))
-        records.sort(key=lambda r: (r[0], r[1]))
+        records.sort()  # by (u, v): pairs are distinct unless duplicated
         need = node_count * _NODE_BYTES
         if need > DP_MEMORY_BUDGET:
             raise ValueError(
@@ -104,17 +102,19 @@ class InfluenceNetwork:
             if len(ext) != node_count:
                 raise ValueError("external_influence length must equal node_count")
 
+        # in (u, v) order each node meets its lower neighbours, then its
+        # higher ones, ascending, so the lists and sums need no second pass
         incoming = [[] for _ in range(node_count)]
+        total = list(ext)
+        pu = pv = -1
         for u, v, wuv, wvu in records:
+            if u == pu and v == pv:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            pu, pv = u, v
             incoming[v].append((u, wuv))
             incoming[u].append((v, wvu))
-        total = []
-        for i in range(node_count):
-            incoming[i].sort()
-            w = ext[i]
-            for _, wji in incoming[i]:
-                w += wji
-            total.append(w)
+            total[v] += wuv
+            total[u] += wvu
 
         self.node_count = node_count
         self.edges = tuple(records)

@@ -311,7 +311,7 @@ def _preds(net, seed):
     holds v, the only ones that can be active before v; the seed's is
     empty.  Raises ValueError on a disconnected network."""
     preds = [frozenset()] * net.node_count
-    for nodes, entry in _blocks(net, seed)[0]:
+    for nodes, entry in _blocks(net, seed):
         inside = frozenset(nodes)
         for v in nodes:
             if v != entry:

@@ -27,6 +27,10 @@ def test_set_cover_instance_rejections():
         SetCoverInstance(2, [set()])
     with pytest.raises(ValueError):
         SetCoverInstance(2, [{0, 2}])
+    with pytest.raises(ValueError, match=r"^universe size 2\.7 is not an integer$"):
+        SetCoverInstance(2.7, [{0.5}, {1}])
+    with pytest.raises(ValueError, match=r"^element 0\.5 is not an integer$"):
+        SetCoverInstance(2, [{0.5}, {1}])
 
 
 def test_brute_force_set_cover():
@@ -107,6 +111,29 @@ def test_np_hardness_binary_weights():
     assert dp_optimal(binary).total_time == 5.0
 
 
+def test_np_hardness_gadget_edges():
+    # seed 0, set node 1, blockers 2 and 3, element 4; relay 5 when binary
+    sc = SetCoverInstance(1, [{0}])
+    plain, _ = make_np_hardness(sc, 1)
+    assert plain.network.node_count == 5
+    assert plain.network.edges == ((0, 1, 1.0, 1.0), (1, 2, 0.0, 1.0),
+                                   (1, 4, 1.0, 0.0), (2, 3, 1.0, 1.0))
+    binary, _ = make_np_hardness(sc, 1, binary_weights=True)
+    assert binary.network.node_count == 6
+    assert binary.network.edges == ((0, 1, 1.0, 1.0), (1, 4, 1.0, 0.0),
+                                    (1, 5, 0.0, 1.0), (2, 3, 1.0, 1.0),
+                                    (2, 5, 1.0, 0.0))
+
+
+def test_inapprox_gadget_edges():
+    # seed 0, set node 1 costing 3, blockers 2 and 3, element copies 4 and 5
+    inst = make_inapprox(SetCoverInstance(1, [{0}]))
+    assert (inst.network.node_count, inst.z) == (6, 3)
+    assert inst.network.edges == ((0, 1, 1.0, 1.0), (1, 2, 0.0, 2.0),
+                                  (1, 4, 1.0, 0.0), (1, 5, 1.0, 0.0),
+                                  (2, 3, 1.0, 1.0))
+
+
 def test_inapprox_structure():
     sc = SetCoverInstance(2, [{0, 1}, {0}])
     a = inapprox_scale(sc, 1.0)
@@ -151,6 +178,26 @@ def test_extract_cover_rejections():
         extract_cover(sc, (0, 7, 1, 8, 10, 11, 12))  # copy before its set
     with pytest.raises(SequenceError):
         extract_cover(sc, good[:-1] + (99,))  # out of range
+
+
+def test_extract_cover_accepts_exactly_the_feasible_orders():
+    sc = SetCoverInstance(2, [{0, 1}, {0}])
+    inst = make_inapprox(sc)
+    n = inst.network.node_count
+    rng = random.Random(5)
+    accepted = 0
+    for trial in range(400):
+        # every other order skips the blockers 3..6, so many are feasible
+        pool = [v for v in range(1, n) if trial % 2 or not 3 <= v <= 6]
+        seq = (0,) + tuple(rng.sample(pool, inst.z - 1))
+        res = sequence_time(inst, seq)
+        if res.feasible:
+            assert extract_cover(sc, seq) == {v - 1 for v in seq if 1 <= v <= 2}
+            accepted += 1
+        else:
+            with pytest.raises(SequenceError):
+                extract_cover(sc, seq)
+    assert 20 <= accepted <= 380
 
 
 def test_binarize_counts():

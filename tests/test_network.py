@@ -45,6 +45,18 @@ def test_constructor_rejects_structural_breakage():
         InfluenceNetwork(2, [(0, 5, 1.0, 1.0)])
     with pytest.raises(ValueError):
         InfluenceNetwork(0)
+    with pytest.raises(ValueError, match=r"^node id 1\.9 is not an integer$"):
+        InfluenceNetwork(3, [(0, 1.9, 1, 1)])
+    with pytest.raises(ValueError, match=r"^node id 2\.0 is not an integer$"):
+        InfluenceNetwork(3, [(2.0, 1, 1, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        InfluenceNetwork(3, [(1, 2, 1, 1), (0, 1, 1, 1), (2, 1, 1, 1)])
+
+
+def test_numpy_integer_node_ids_pass():
+    net = InfluenceNetwork(3, [(np.int64(2), np.int32(0), 1.0, 2.0)])
+    assert net.edges == ((0, 2, 2.0, 1.0),)
+    assert type(net.edges[0][0]) is int
 
 
 def test_activation_probability_basics():
