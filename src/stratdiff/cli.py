@@ -14,14 +14,12 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 
-from . import generators, heuristics, network, simulate, treewidth
-from .decompose import (biconnected_components, component_instances,
-                        solve_full_via_decomposition)
-from .exact import brute_force_optimal, dp_optimal
+from . import SOLVERS, generators, heuristics, network, simulate, treewidth
+from .decompose import biconnected_components, component_instances
+from .exact import dp_optimal
 from .network import NetworkFormatError, SequenceError, SizeGuardError
 
 
@@ -46,38 +44,14 @@ def _load_instance_with_overrides(args) -> network.DiffusionInstance:
     return inst
 
 
-def _gk_k_of(inst) -> int:
-    n = inst.network.node_count
-    k = (math.isqrt(4 * n + 1) - 1) // 2
-    if k * k + k != n:
-        raise ValueError("instance size does not match any G(k)")
-    return k
-
-
-# name -> fn(instance, td or None, force); --solver offers the keys
-SOLVERS = {
-    "brute": lambda inst, td, force: brute_force_optimal(inst, force=force),
-    "dp": lambda inst, td, force: dp_optimal(inst, force=force),
-    "greedy": lambda inst, td, force: heuristics.greedy_sequence(inst),
-    "majority": lambda inst, td, force: heuristics.majority_sequence(inst),
-    "strategy-a": lambda inst, td, force: heuristics.strategy_a_gk(
-        _gk_k_of(inst), inst),
-    "tw-full": lambda inst, td, force: treewidth.tw_full_optimal(
-        inst, td, force=force),
-    "tw-partial": lambda inst, td, force: treewidth.tw_partial_optimal(
-        inst, td, force=force),
-    "decompose": lambda inst, td, force: solve_full_via_decomposition(
-        inst, lambda sub: dp_optimal(sub, force=force)),
-}
-
-
 def _run_solver(inst, args):
-    if args.td and args.solver not in ("tw-full", "tw-partial"):
-        raise ValueError(f"--td applies to tw-full and tw-partial, not to {args.solver}")
+    run, traits = SOLVERS[args.solver]
+    if args.td and "td" not in traits:
+        readers = " and ".join(k for k, (_, t) in SOLVERS.items() if "td" in t)
+        raise ValueError(f"--td applies to {readers}, not to {args.solver}")
     if args.force:
         print("warning: size guards disabled", file=sys.stderr)
-    td = treewidth.load_td(args.td) if args.td else None
-    return SOLVERS[args.solver](inst, td, args.force)
+    return run(inst, treewidth.load_td(args.td) if args.td else None, args.force)
 
 
 def cmd_solve(args) -> int:

@@ -81,8 +81,8 @@ def brute_force_optimal(instance: DiffusionInstance, *,
 
     extend(1 << seed, 0.0)
     if best_seq is None:
-        return infeasible_result(seed, "brute-force")
-    return sequence_time(instance, best_seq, solver="brute-force")
+        return infeasible_result(seed, "brute")
+    return sequence_time(instance, best_seq, solver="brute")
 
 
 def dp_optimal(instance: DiffusionInstance, *,

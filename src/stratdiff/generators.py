@@ -15,18 +15,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import index
 
 from .network import (DiffusionInstance, InfluenceNetwork, SequenceError,
-                      sequence_time)
-
-
-def _integer(x, what: str) -> int:
-    """x through operator.index (Python and numpy ints pass, 2.7 does not)."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
+                      _integer, sequence_time)
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ def make_gk(k: int) -> DiffusionInstance:
     touches every hub and every hub touches every bridge; all weights are
     1.  Full diffusion instance (z = k^2 + k).
     """
-    if k < 1:
+    if (k := _integer(k, "k")) < 1:
         raise ValueError("k must be at least 1")
     kk = k * k
     edges = []
@@ -126,7 +117,7 @@ def make_np_hardness(sc: SetCoverInstance, k: int, *,
     """
     s = len(sc.sets)
     u = sc.universe_size
-    if not (1 <= k <= s):
+    if not (1 <= (k := _integer(k, "k")) <= s):
         raise ValueError(f"k must be in 1..{s}")
     net = _cover_network(sc, 1, u * s + 1, binary_weights)
     t_star = k * (u * s + 1.0) + u * s
@@ -212,7 +203,7 @@ def random_connected(n: int, edge_prob: float = 0.3,
     A random spanning tree guarantees connectivity; every other pair gets
     an edge with probability edge_prob.  Deterministic in rng_seed.
     """
-    if n < 1:
+    if (n := _integer(n, "n")) < 1:
         raise ValueError("n must be positive")
     rng = random.Random(rng_seed)
     lo, hi = weight_range

@@ -48,6 +48,14 @@ class SizeGuardError(RuntimeError):
     """Raised when a solver refuses an instance above its size guard."""
 
 
+def _integer(x, what: str) -> int:
+    """x through operator.index (Python and numpy ints pass, 2.7 does not)."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def mask_of(nodes) -> int:
     """Encode an iterable of node ids as a bitmask."""
     m = 0
@@ -72,7 +80,7 @@ class InfluenceNetwork:
                  "_incoming")
 
     def __init__(self, node_count: int, edges=(), external_influence=None):
-        if node_count < 1:
+        if (node_count := _integer(node_count, "node_count")) < 1:
             raise ValueError("node_count must be positive")
         records = []
         for u, v, wuv, wvu in edges:
@@ -162,6 +170,8 @@ class DiffusionInstance:
     beta: float = 1.0
 
     def __post_init__(self):
+        for f in ("seed", "z"):  # stored as plain ints; 2.5 is refused
+            object.__setattr__(self, f, _integer(getattr(self, f), f"invalid instance: {f}"))
         check_instance(self)
 
 
@@ -249,12 +259,21 @@ def expected_step_time(net: InfluenceNetwork, active, i: int,
                        alpha: float = 1.0, beta: float = 1.0) -> float:
     """Expected steps until i activates: 1/p, or inf when p = 0.
 
-    Raises ValueError when validate(net) reports a problem.
+    Raises ValueError on validate(net)'s problems, beta outside (0, 1], a
+    negative or non-finite alpha (above 1 is allowed), or an id not in 0..n-1.
     """
     problems = validate(net)
     if problems:
         raise ValueError("invalid network: " + "; ".join(problems))
-    mask = active if isinstance(active, int) else mask_of(active)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta {beta} outside (0, 1]")
+    if not 0.0 <= alpha < INF:
+        raise ValueError(f"alpha {alpha} is negative or not finite")
+    ids = (i, *active)
+    for v in ids:
+        if not (hasattr(v, "__index__") and 0 <= v < net.node_count):
+            raise ValueError(f"node id {v!r} is not an integer in 0..{net.node_count - 1}")
+    i, mask = index(i), mask_of(map(index, ids[1:]))
     if (mask >> i) & 1:
         raise ValueError(f"node {i} is already active")
     w = net.total_influence[i]

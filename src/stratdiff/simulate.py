@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .network import DiffusionInstance, sequence_time
+from .network import DiffusionInstance, _integer, sequence_time
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
     error, and the analytic expectation for comparison.
     """
     import numpy as np
-    if trials < 1:
+    if (trials := _integer(trials, "trials")) < 1:
         raise ValueError("trials must be positive")
     analytic = sequence_time(instance, sequence)
     if not analytic.feasible:

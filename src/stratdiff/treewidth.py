@@ -31,11 +31,10 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import index
 
 from .decompose import _blocks
 from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
-                      SizeGuardError, SolveResult, _ball, _induced,
+                      SizeGuardError, SolveResult, _ball, _induced, _integer,
                       _read_json, _step_time_masked, _write_json,
                       infeasible_result, mask_of, sequence_time)
 
@@ -58,9 +57,11 @@ class TreeDecomposition:
     root: int = 0
 
     def __init__(self, bags, edges=(), root: int = 0):
-        object.__setattr__(self, "bags", tuple(frozenset(map(index, b)) for b in bags))
-        object.__setattr__(self, "edges", tuple((index(a), index(b)) for a, b in edges))
-        object.__setattr__(self, "root", index(root))
+        object.__setattr__(self, "bags", tuple(
+            frozenset(_integer(v, "node id") for v in b) for b in bags))
+        object.__setattr__(self, "edges", tuple(
+            (_integer(a, "bag index"), _integer(b, "bag index")) for a, b in edges))
+        object.__setattr__(self, "root", _integer(root, "root bag index"))
 
     @property
     def width(self) -> int:

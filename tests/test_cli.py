@@ -176,15 +176,18 @@ def test_solve_treewidth_with_td_file(tmp_path, capsys):
     assert json.loads(out)["total_time"] == dp_optimal(inst).total_time
 
 
+@pytest.mark.parametrize("solver", [name for name, (_, traits) in
+                                    stratdiff.SOLVERS.items() if "td" not in traits])
 @pytest.mark.parametrize("command", ["solve", "simulate"])
-def test_td_is_refused_for_a_solver_that_reads_none(tmp_path, capsys, command):
+def test_td_is_refused_for_a_solver_that_reads_none(tmp_path, capsys, command,
+                                                   solver):
     net = path_net(5)
     p = write_instance(tmp_path, full_instance(net))
     tdp = str(tmp_path / "dec.json")
     save_td(min_fill_decomposition(net), tdp)
-    code, out, err = run(capsys, command, p, "--solver", "dp", "--td", tdp)
+    code, out, err = run(capsys, command, p, "--solver", solver, "--td", tdp)
     assert code == 1 and out == ""
-    assert err == "error: --td applies to tw-full and tw-partial, not to dp\n"
+    assert err == f"error: --td applies to tw-full and tw-partial, not to {solver}\n"
 
 
 def test_solve_strategy_a(tmp_path, capsys):

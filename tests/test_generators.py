@@ -31,6 +31,13 @@ def test_set_cover_instance_rejections():
         SetCoverInstance(2.7, [{0.5}, {1}])
     with pytest.raises(ValueError, match=r"^element 0\.5 is not an integer$"):
         SetCoverInstance(2, [{0.5}, {1}])
+    # the generators' sizes are integers too; 1.5 gave z = 4.5, t* = 11.5
+    with pytest.raises(ValueError, match=r"^k 1\.5 is not an integer$"):
+        make_np_hardness(SetCoverInstance(2, [{0}, {1}]), 1.5)
+    with pytest.raises(ValueError, match=r"^k 2\.5 is not an integer$"):
+        make_gk(2.5)
+    with pytest.raises(ValueError, match=r"^n 2\.5 is not an integer$"):
+        random_connected(2.5)
 
 
 def test_brute_force_set_cover():

@@ -51,6 +51,11 @@ def test_constructor_rejects_structural_breakage():
         InfluenceNetwork(3, [(2.0, 1, 1, 1)])
     with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
         InfluenceNetwork(3, [(1, 2, 1, 1), (0, 1, 1, 1), (2, 1, 1, 1)])
+    with pytest.raises(ValueError, match=r"^node_count 2\.5 is not an integer$"):
+        InfluenceNetwork(2.5)
+    with pytest.raises(ValueError, match=r"^node_count 3\.0 is not an integer$"):
+        InfluenceNetwork(3.0, [(0, 1, 1, 1)])
+    assert InfluenceNetwork(np.int64(3)).node_count == 3
 
 
 def test_numpy_integer_node_ids_pass():
@@ -91,6 +96,25 @@ def test_probability_requires_inactive_target_and_influence():
     bad = InfluenceNetwork(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, -0.5)])
     with pytest.raises(ValueError, match="negative weight"):
         activation_probability(bad, [0], 1)
+
+
+def test_expected_step_time_checks_its_inputs():
+    net = path_net(3)
+    with pytest.raises(ValueError, match=r"^beta -2\.0 outside \(0, 1\]$"):
+        expected_step_time(net, [0], 1, alpha=5.0, beta=-2.0)
+    with pytest.raises(ValueError, match=r"^beta 3\.0 outside \(0, 1\]$"):
+        activation_probability(net, [0], 1, alpha=1.0, beta=3.0)
+    for alpha in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha .* is negative or not "
+                           r"finite$"):
+            activation_probability(net, [0], 1, alpha=alpha)
+    for i, active in ((7, [0]), (-1, [0]), (1.0, [0]), (1, [0, 9]),
+                      (1, [0, 2.0])):
+        with pytest.raises(ValueError, match=r"^node id .* is not an integer "
+                           r"in 0\.\.2$"):
+            expected_step_time(net, active, i)
+    # alpha above 1 stays allowed here, and numpy ids pass
+    assert expected_step_time(net, [np.int64(0)], np.int32(1), alpha=2.0) == 4.0
 
 
 def test_expected_step_time_values():
@@ -189,6 +213,19 @@ def test_validate_instance_ranges():
     with pytest.raises(ValueError, match=r"^invalid instance: beta 0\.0 "
                        r"outside \(0, 1\]$"):
         DiffusionInstance(net, seed=0, z=3, beta=0.0)
+    # seed and z are integers: 2.5 used to build and then break the solvers
+    with pytest.raises(ValueError, match=r"^invalid instance: seed 0\.5 is "
+                       r"not an integer$"):
+        DiffusionInstance(path_net(4), 0.5, 3)
+    with pytest.raises(ValueError, match=r"^invalid instance: z 2\.5 is not "
+                       r"an integer$"):
+        DiffusionInstance(path_net(4), 0, 2.5)
+    with pytest.raises(ValueError, match=r"^invalid instance: z 3\.0 is not "
+                       r"an integer$"):
+        dataclasses.replace(ok, z=3.0)
+    both = DiffusionInstance(net, seed=np.int64(1), z=np.int32(2))
+    assert (both.seed, both.z) == (1, 2)
+    assert type(both.seed) is int and type(both.z) is int
 
 
 def test_an_invalid_instance_cannot_be_built():

@@ -1,10 +1,10 @@
-"""Property tests: the exact solvers agree, every result is its replay,
-the two subset-DP kernels give identical results, tw_partial_optimal at
-z = n is tw_full_optimal, binarising integer weights shifts the optimum
-by the rewritten weight, and the block split from every seed matches a
-brute-force cut-node reference.  A last test checks that a failing
-property, under the project's warning filters, still reports its
-falsifying example.
+"""Property tests: the exact solvers agree, every SOLVERS entry's result is
+its replay under the entry's name, the two subset-DP kernels give identical
+results, tw_partial_optimal at z = n is tw_full_optimal, binarising integer
+weights shifts the optimum by the rewritten weight, and the block split
+from every seed matches a brute-force cut-node reference.  A last test
+checks that a failing property, under the project's warning filters, still
+reports its falsifying example.
 
 Solver instances are small connected networks (2-8 nodes) whose weights
 include zeros, so unreachable nodes and infeasible targets are generated
@@ -25,12 +25,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
-                       biconnected_components, binarize_weights,
-                       brute_force_optimal, component_instances, dp_optimal,
-                       greedy_sequence, majority_sequence, random_connected,
-                       sequence_time, solve_full_via_decomposition,
-                       tw_full_optimal, tw_partial_optimal)
+from stratdiff import (SOLVERS, DiffusionInstance,  # noqa: E402
+                       InfluenceNetwork, biconnected_components,
+                       binarize_weights, component_instances, dp_optimal,
+                       make_gk, random_connected, sequence_time,
+                       solve_full_via_decomposition, tw_full_optimal,
+                       tw_partial_optimal)
 from stratdiff import decompose, exact  # noqa: E402
 from helpers import blocky_graph, dp_kernel_result  # noqa: E402
 
@@ -61,31 +61,37 @@ def _close(a, b):
     return abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
-def _results(inst):
-    out = [dp_optimal(inst), brute_force_optimal(inst),
-           tw_partial_optimal(inst), greedy_sequence(inst),
-           majority_sequence(inst)]
-    if inst.z == inst.network.node_count:
-        out += [tw_full_optimal(inst),
-                solve_full_via_decomposition(inst, dp_optimal)]
-    return out
+def _results(inst, gk=False):
+    """(name, traits, result) for every SOLVERS entry whose traits inst
+    meets: "full" needs z = n, and "gk" entries run only when gk says inst
+    is a G(k)."""
+    full = inst.z == inst.network.node_count
+    return [(name, traits, run(inst, None, False))
+            for name, (run, traits) in SOLVERS.items()
+            if ("gk" in traits) == gk and (full or "full" not in traits)]
 
 
 @given(instances())
 def test_exact_solvers_agree(inst):
     results = _results(inst)
-    exact = [r for r in results if r.solver not in ("greedy", "majority")]
+    exact = [r for _, traits, r in results if "exact" in traits]
     for r in exact:
         assert _close(r.total_time, exact[0].total_time), (r, exact[0])
-    for r in results:
+    for _, _, r in results:
         assert r.total_time >= exact[0].total_time - 1e-9, r
 
 
-@given(instances())
-def test_every_result_is_its_replay(inst):
-    for r in _results(inst):
+@given(st.one_of(instances().map(lambda inst: (inst, False)),
+                 st.sampled_from([(make_gk(k), True) for k in (2, 3, 4)])))
+def test_every_result_is_its_replay(case):
+    # every entry, strategy A on G(2)-G(4), under the entry's own name
+    inst, gk = case
+    results = _results(inst, gk)
+    assert results
+    for name, _, r in results:
+        assert r.solver == name
         if r.feasible:
-            assert r == sequence_time(inst, r.sequence, solver=r.solver)
+            assert r == sequence_time(inst, r.sequence, solver=name)
 
 
 @given(instances())

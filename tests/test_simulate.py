@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, simulate_sequence)
@@ -64,6 +65,13 @@ def test_rejects_bad_input():
     bad = DiffusionInstance(net, 0, 3)
     with pytest.raises(ValueError):
         simulate_sequence(bad, (0, 1, 2), trials=10)
+
+
+def test_trials_must_be_an_integer():
+    inst = full_instance(path_net(3))
+    with pytest.raises(ValueError, match=r"^trials 2\.5 is not an integer$"):
+        simulate_sequence(inst, (0, 1, 2), trials=2.5)
+    assert simulate_sequence(inst, (0, 1, 2), trials=np.int64(3)).trials == 3
 
 
 @pytest.mark.parametrize("edges, external, problem", [

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
@@ -244,10 +245,17 @@ def test_load_td_keeps_explicit_empty_bag(tmp_path):
 
 
 def test_decomposition_node_ids_are_integers():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^node id 1\.0 is not an integer$"):
         TreeDecomposition(bags=[{0, 1.0}])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^node id 1\.5 is not an integer$"):
+        TreeDecomposition([[0, 1.5]])
+    with pytest.raises(ValueError, match=r"^bag index '1' is not an integer$"):
         TreeDecomposition(bags=[{0}, {0}], edges=[(0, "1")])
+    with pytest.raises(ValueError, match=r"^root bag index 0\.5 is not an "
+                       r"integer$"):
+        TreeDecomposition(bags=[{0}], root=0.5)
+    td = TreeDecomposition([[np.int64(0)]], [], np.int32(0))
+    assert type(next(iter(td.bags[0]))) is int and type(td.root) is int
 
 
 def test_tw_full_path_matches_dp():
