@@ -10,7 +10,7 @@ from .network import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                       ZeroInfluenceError, activation_probability,
                       check_instance, expected_step_time, infeasible_result,
                       load, load_instance, save, save_instance, sequence_time,
-                      validate, validate_instance)
+                      validate_instance)
 from .exact import brute_force_optimal, dp_optimal
 from .decompose import (ComponentInstance, biconnected_components,
                         component_instances, solve_full_via_decomposition)
@@ -58,7 +58,7 @@ __all__ = [
     "activation_probability", "check_instance", "expected_step_time",
     "infeasible_result",
     "load", "load_instance", "save", "save_instance", "sequence_time",
-    "validate", "validate_instance",
+    "validate_instance",
     "brute_force_optimal", "dp_optimal",
     "ComponentInstance", "biconnected_components", "component_instances",
     "solve_full_via_decomposition",

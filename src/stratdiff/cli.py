@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 bad input, 2 size guard refusal, 3 infeasible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -32,16 +33,9 @@ def _write_json(payload: dict, out):
 
 def _load_instance_with_overrides(args) -> network.DiffusionInstance:
     inst = network.load_instance(args.instance)
-    fields = {}
-    if args.z is not None:
-        fields["z"] = args.z
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.beta is not None:
-        fields["beta"] = args.beta
-    if fields:
-        inst = dataclasses.replace(inst, **fields)
-    return inst
+    fields = {f: getattr(args, f) for f in ("z", "alpha", "beta")
+              if getattr(args, f) is not None}
+    return dataclasses.replace(inst, **fields) if fields else inst
 
 
 def _run_solver(inst, args):
@@ -118,9 +112,7 @@ def cmd_compare(args) -> int:
         g = heuristics.greedy_sequence(inst)
         m = heuristics.majority_sequence(inst)
         h_k = sum(1.0 / i for i in range(1, k + 1))
-        dp_total = ""
-        if args.with_dp:
-            dp_total = repr(dp_optimal(inst).total_time)
+        dp_total = repr(dp_optimal(inst).total_time) if args.with_dp else ""
         rows.append({
             "k": k,
             "n": inst.network.node_count,
@@ -134,14 +126,11 @@ def cmd_compare(args) -> int:
         })
     fields = ["k", "n", "strategy_a", "greedy", "majority", "dp",
               "greedy_ratio", "majority_ratio", "h_k"]
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 

@@ -188,16 +188,8 @@ def _dp_dict(instance: DiffusionInstance, force: bool = False):
         preds.append(pred)
         kept += len(nxt)
 
-    best_mask = None
-    best_total = INF
-    for mask in sorted(times):
-        t = times[mask]
-        if t < best_total:
-            best_total = t
-            best_mask = mask
-
     rev = []
-    mask = best_mask
+    mask = min(sorted(times), key=times.__getitem__)  # smallest tied mask
     for k in range(instance.z, 1, -1):
         i = preds[k][mask]
         rev.append(i)

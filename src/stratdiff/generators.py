@@ -137,10 +137,18 @@ def make_inapprox(sc: SetCoverInstance, lam: float = 1.0) -> DiffusionInstance:
     The embedding is _cover_network's with |S|+1 copies of each element
     and set nodes costing exactly a = z * |S|^(lam+1), and
     z = |U|(|S|+1) + 1, so the optimal total divided by a is sandwiched
-    between the minimal cover size m and m * (1 + 1/|S|^lam).
+    between the minimal cover size m and m * (1 + 1/|S|^lam).  A lam whose
+    cost a is not a finite number >= 1 is refused.
     """
     s = len(sc.sets)
-    net = _cover_network(sc, s + 1, inapprox_scale(sc, lam))
+    try:
+        a = inapprox_scale(sc, lam)
+    except OverflowError:  # |S| ** (lam + 1) past the float range
+        a = math.inf
+    if not 1.0 <= a < math.inf:
+        raise ValueError(f"lam {lam} gives a set-node cost of {a}; it must be "
+                         "a finite number >= 1")
+    net = _cover_network(sc, s + 1, a)
     return DiffusionInstance(network=net, seed=0, z=sc.universe_size * (s + 1) + 1)
 
 
@@ -177,7 +185,7 @@ def binarize_weights(net: InfluenceNetwork):
     """
     for u, v, wuv, wvu in net.edges:
         for w in (wuv, wvu):
-            if w < 0 or w != int(w):
+            if w != int(w):
                 raise ValueError(f"edge ({u}, {v}) weight {w} is not a "
                                  "nonnegative integer")
     edges = []

@@ -1,9 +1,10 @@
 """Core data model for strategic diffusion on weighted networks.
 
 A network is an undirected topology where each edge {u, v} carries two
-independent nonnegative influence weights, one per direction.  A node may
+independent influence weights, one per direction.  A node may
 additionally receive a fixed external influence offset that counts toward
-its total incoming influence but never activates it.
+its total incoming influence but never activates it.  The constructor
+refuses a weight or offset that is negative or not finite.
 
 Activation model: a node i with at least one active neighbor becomes active
 in one time step with probability
@@ -64,16 +65,29 @@ def mask_of(nodes) -> int:
     return m
 
 
+def _problems(records, ext):
+    """InfluenceNetwork's refusal: each negative or non-finite value, edges in
+    (u, v) order, then external influence by node."""
+    def kind(x):
+        return "non-finite" if not math.isfinite(x) else "negative" if x < 0 else ""
+    return ([f"{kind(w)} weight {w} on edge ({u}, {v}) direction {a}->{b}"
+             for u, v, wuv, wvu in records
+             for w, a, b in ((wuv, u, v), (wvu, v, u)) if kind(w)]
+            + [f"{kind(x)} external influence {x} at node {i}"
+               for i, x in enumerate(ext) if kind(x)])
+
+
 class InfluenceNetwork:
     """Immutable weighted network.
 
     edges is an iterable of (u, v, w_uv, w_vu) records; w_uv is the influence
     u exerts on v.  Records are normalized so u < v and sorted.  The
     constructor rejects structural breakage (self-loops, duplicate pairs,
-    out-of-range ids) and a node count whose per-node storage would pass
-    DP_MEMORY_BUDGET; value-level problems such as negative weights are
-    tolerated here and reported by validate().  The one adjacency is the
-    incoming lists, so storage is linear in nodes plus edges.
+    out-of-range ids), a node count whose per-node storage would pass
+    DP_MEMORY_BUDGET, and any weight or external influence that is negative
+    or not finite, so every network in hand has finite, nonnegative values
+    and nothing checks them again.  The one adjacency is the incoming
+    lists, so storage is linear in nodes plus edges.
     """
 
     __slots__ = ("node_count", "edges", "external_influence", "total_influence",
@@ -115,14 +129,19 @@ class InfluenceNetwork:
         incoming = [[] for _ in range(node_count)]
         total = list(ext)
         pu = pv = -1
+        clean = external_influence is None or all(0.0 <= x < INF for x in ext)
         for u, v, wuv, wvu in records:
             if u == pu and v == pv:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             pu, pv = u, v
+            if not 0.0 <= wuv < INF > wvu >= 0.0:  # both in [0, inf); not nan
+                clean = False
             incoming[v].append((u, wuv))
             incoming[u].append((v, wvu))
             total[v] += wuv
             total[u] += wvu
+        if not clean:
+            raise ValueError("invalid network: " + "; ".join(_problems(records, ext)))
 
         self.node_count = node_count
         self.edges = tuple(records)
@@ -229,8 +248,8 @@ def _step_time_masked(net: InfluenceNetwork, active_mask: int, i: int,
 
     Unactivatable nodes (zero active influence, or zero total influence)
     map to inf, matching the division-by-zero convention of the model.
-    Weights must be validated (finite, nonnegative): s then sums a subset
-    of w's terms in w's order, and rounding is monotone, so s <= w.
+    The constructor guarantees finite, nonnegative weights: s then sums a
+    subset of w's terms in w's order, and rounding is monotone, so s <= w.
     """
     w = net.total_influence[i]
     if w <= 0.0:
@@ -259,12 +278,9 @@ def expected_step_time(net: InfluenceNetwork, active, i: int,
                        alpha: float = 1.0, beta: float = 1.0) -> float:
     """Expected steps until i activates: 1/p, or inf when p = 0.
 
-    Raises ValueError on validate(net)'s problems, beta outside (0, 1], a
-    negative or non-finite alpha (above 1 is allowed), or an id not in 0..n-1.
+    Raises ValueError on beta outside (0, 1], a negative or non-finite alpha
+    (above 1 is allowed), or an id not in 0..n-1.
     """
-    problems = validate(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta {beta} outside (0, 1]")
     if not 0.0 <= alpha < INF:
@@ -359,30 +375,10 @@ def _ball(instance: DiffusionInstance):
     return sorted(seen)
 
 
-def validate(net: InfluenceNetwork):
-    """Return a list of human-readable value violations (empty if clean).
-
-    Structural breakage never gets this far: the constructor rejects it.
-    """
-    out = []
-    for u, v, wuv, wvu in net.edges:
-        for w, a, b in ((wuv, u, v), (wvu, v, u)):
-            if not math.isfinite(w):
-                out.append(f"non-finite weight {w} on edge ({u}, {v}) direction {a}->{b}")
-            elif w < 0:
-                out.append(f"negative weight {w} on edge ({u}, {v}) direction {a}->{b}")
-    for i, x in enumerate(net.external_influence):
-        if not math.isfinite(x):
-            out.append(f"non-finite external influence {x} at node {i}")
-        elif x < 0:
-            out.append(f"negative external influence {x} at node {i}")
-    return out
-
-
 def validate_instance(instance: DiffusionInstance):
-    """Invariant violations for an instance (includes network violations)."""
+    """Invariant violations for an instance: its seed, z, alpha and beta."""
     net = instance.network
-    out = validate(net)
+    out = []
     if not (0 <= instance.seed < net.node_count):
         out.append(f"seed {instance.seed} out of range")
     if not (1 <= instance.z <= net.node_count):

@@ -11,7 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .network import DiffusionInstance, _integer, sequence_time
+from .network import (DP_MEMORY_BUDGET, DiffusionInstance, SizeGuardError,
+                      _integer, sequence_time)
+
+# simulate_sequence's tracemalloc peak per trial (its float64 sample arrays),
+# read at 10^5 and 10^6 trials
+_TRIAL_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -32,12 +37,18 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
     """Sample the total activation time of a fixed sequence.
 
     Raises ValueError for an infeasible sequence (some step has probability
-    zero) or nonpositive trials.  Returns the sample mean, its standard
-    error, and the analytic expectation for comparison.
+    zero) or nonpositive trials, and SizeGuardError, before any allocation,
+    when the trials' arrays would pass DP_MEMORY_BUDGET.  Returns the
+    sample mean, its standard error, and the analytic expectation for
+    comparison.
     """
     import numpy as np
     if (trials := _integer(trials, "trials")) < 1:
         raise ValueError("trials must be positive")
+    if (need := trials * _TRIAL_BYTES) > DP_MEMORY_BUDGET:
+        raise SizeGuardError(
+            f"trials {trials:,} need about {need / 2**20:,.0f} MiB of sample "
+            f"arrays, over the {DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget")
     analytic = sequence_time(instance, sequence)
     if not analytic.feasible:
         raise ValueError("sequence is infeasible; nothing to sample")
@@ -55,10 +66,7 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
         draws = np.ceil(np.log1p(-u) / math.log1p(-p))
         totals += np.maximum(draws, 1.0)
     mean = float(totals.mean())
-    if trials > 1:
-        se = float(totals.std(ddof=1) / math.sqrt(trials))
-    else:
-        se = 0.0
+    se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationResult(mean=mean, std_error=se, trials=trials,
                             sample_min=float(totals.min()),
                             sample_max=float(totals.max()),

@@ -123,7 +123,7 @@ def test_solve_rejects_non_finite_weight(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(p))
     assert code == 1
     assert out == ""
-    assert "invalid instance: non-finite weight inf on edge (0, 1) " \
+    assert f"{p}: invalid network: non-finite weight inf on edge (0, 1) " \
         "direction 0->1" in err
 
 
@@ -259,6 +259,20 @@ def test_generate_random_refuses_z_above_n(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["random", "--wmin", "-1"], "invalid network: negative weight"),
+    (["inapprox", "--universe", "1", "--sets", "0;0", "--lam", "-5"],
+     "lam -5.0 gives a set-node cost of 0.25; it must be a finite number >= 1"),
+])
+def test_generate_refuses_bad_values_and_writes_nothing(tmp_path, capsys,
+                                                         argv, message):
+    code, out, err = run(capsys, "generate", *argv,
+                         "--out", str(tmp_path / "x.json"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_bad_sets(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "np-hard", "--universe", "2",
                        "--sets", "0,5", "--k", "1",
@@ -322,6 +336,14 @@ def test_simulate_sequence_refuses_flags_it_would_ignore(tmp_path, capsys,
     code, out, err = run(capsys, "simulate", p, "--sequence", "0,1,2", *flags)
     assert code == 1 and out == ""
     assert err == f"error: {named} cannot be used with --sequence\n"
+
+
+def test_simulate_refuses_trials_past_the_memory_budget(tmp_path, capsys):
+    p = write_instance(tmp_path, full_instance(path_net(3)))
+    code, out, err = run(capsys, "simulate", p, "--sequence", "0,1,2",
+                         "--trials", "100000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: trials 100,000,000 need about 3,815 MiB")
 
 
 def test_simulate_infeasible(tmp_path, capsys):

@@ -155,6 +155,17 @@ def test_inapprox_structure():
     assert sequence_time(two, (0, 2)).step_times[1] == a
 
 
+@pytest.mark.parametrize("lam, cost", [(-5, "0.25"), (math.nan, "nan"),
+                                       (math.inf, "inf"), (1e308, "inf")])
+def test_inapprox_refuses_a_lam_whose_cost_is_not_at_least_one(lam, cost):
+    # the refusal names lam, not the blocker edge whose weight cost - 1 it
+    # would have given
+    with pytest.raises(ValueError) as exc:
+        make_inapprox(SetCoverInstance(1, [[0], [0]]), lam)
+    assert str(exc.value) == (f"lam {lam} gives a set-node cost of {cost}; "
+                              "it must be a finite number >= 1")
+
+
 def test_inapprox_cover_extraction():
     sc = SetCoverInstance(2, [{0, 1}, {0}])
     inst = make_inapprox(sc, 1.0)

@@ -10,11 +10,11 @@ import pytest
 from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        SequenceError, SizeGuardError, SolveResult,
                        ZeroInfluenceError, activation_probability,
-                       check_instance, dp_optimal, expected_step_time,
+                       dp_optimal, expected_step_time,
                        greedy_sequence,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, tw_partial_optimal,
-                       validate, validate_instance)
+                       validate_instance)
 from stratdiff.exact import _step_times_masked
 from stratdiff.network import _step_time_masked
 from helpers import path_net, random_weighted_net
@@ -92,10 +92,10 @@ def test_probability_requires_inactive_target_and_influence():
         activation_probability(lonely, [1], 0)
     with pytest.raises(ZeroInfluenceError):
         expected_step_time(lonely, [1], 0)
-    # a negative weight would let the active in-weight pass the total
-    bad = InfluenceNetwork(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, -0.5)])
-    with pytest.raises(ValueError, match="negative weight"):
-        activation_probability(bad, [0], 1)
+    # a negative weight would let the active in-weight pass the total; such
+    # a network cannot be built, so no query meets one
+    with pytest.raises(ValueError, match="^invalid network: negative weight"):
+        InfluenceNetwork(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, -0.5)])
 
 
 def test_expected_step_time_checks_its_inputs():
@@ -172,28 +172,83 @@ def test_solve_result_invariants():
 
 
 def test_validate_reports_value_problems():
-    net = InfluenceNetwork(3, [(0, 1, -1.0, 1.0), (1, 2, 1.0, 1.0)])
-    problems = validate(net)
+    with pytest.raises(ValueError) as exc:
+        InfluenceNetwork(3, [(0, 1, -1.0, 1.0), (1, 2, 1.0, 1.0)])
+    problems = str(exc.value).removeprefix("invalid network: ").split("; ")
     assert len(problems) == 1
     assert "(0, 1)" in problems[0]
-    assert validate(path_net(4)) == []
+    path_net(4)  # a clean network builds
 
 
 @pytest.mark.parametrize("bad", [INF, -INF, math.nan])
 def test_validate_rejects_non_finite_weight(bad):
-    net = InfluenceNetwork(3, [(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
-    assert validate(net) == [
-        f"non-finite weight {bad} on edge (0, 1) direction 1->0"]
-    with pytest.raises(ValueError, match="invalid instance: non-finite weight"):
-        DiffusionInstance(net, seed=0, z=3)
+    with pytest.raises(ValueError) as exc:
+        InfluenceNetwork(3, [(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
+    assert str(exc.value) == (
+        f"invalid network: non-finite weight {bad} on edge (0, 1) direction 1->0")
 
 
 @pytest.mark.parametrize("bad", [INF, -INF, math.nan])
 def test_validate_rejects_non_finite_external(bad):
-    net = InfluenceNetwork(2, [(0, 1, 1.0, 1.0)], external_influence=[0.0, bad])
-    assert validate(net) == [f"non-finite external influence {bad} at node 1"]
-    with pytest.raises(ValueError, match="non-finite external influence"):
-        check_instance(DiffusionInstance(net, seed=0, z=2))
+    with pytest.raises(ValueError) as exc:
+        InfluenceNetwork(2, [(0, 1, 1.0, 1.0)], external_influence=[0.0, bad])
+    assert str(exc.value) == (
+        f"invalid network: non-finite external influence {bad} at node 1")
+
+
+def test_the_constructor_refuses_exactly_the_bad_values():
+    # every value is a finite nonnegative number, -0.0, a negative, +-inf or
+    # nan; the network builds iff none is bad, and a refusal lists every
+    # bad value, edges in (u, v) order and then external influence by node
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # mostly good values, so that a lone bad one is common
+    value = st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, -0.0, 1.0]),
+                      st.floats(0.0, 1e6),
+                      st.floats(max_value=0.0, exclude_max=True,
+                                allow_infinity=False),
+                      st.sampled_from([INF, -INF, math.nan]))
+
+    @st.composite
+    def networks(draw):
+        n = draw(st.integers(2, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]), unique_by=frozenset, max_size=8))
+        records = [(u, v, draw(value), draw(value)) for u, v in pairs]
+        ext = draw(st.none() | st.lists(value, min_size=n, max_size=n))
+        return n, records, ext
+
+    def kind(x):
+        return ("non-finite" if not math.isfinite(x) else
+                "negative" if x < 0.0 else None)
+
+    def problems(records, ext):
+        out = []
+        for u, v, wuv, wvu in sorted((u, v, a, b) if u < v else (v, u, b, a)
+                                     for u, v, a, b in records):
+            out += [f"{kind(w)} weight {w} on edge ({u}, {v}) direction {a}->{b}"
+                    for w, a, b in ((wuv, u, v), (wvu, v, u)) if kind(w)]
+        out += [f"{kind(x)} external influence {x} at node {i}"
+                for i, x in enumerate(ext or ()) if kind(x)]
+        return out
+
+    @settings(max_examples=300)
+    @given(networks())
+    def check(case):
+        n, records, ext = case
+        expected = problems(records, ext)
+        if expected:
+            with pytest.raises(ValueError) as exc:
+                InfluenceNetwork(n, records, ext)
+            assert str(exc.value) == "invalid network: " + "; ".join(expected)
+        else:
+            net = InfluenceNetwork(n, records, ext)
+            again = InfluenceNetwork(n, records[::-1], ext)
+            assert net == again and net.total_influence == again.total_influence
+
+    check()
 
 
 def test_validate_instance_ranges():
@@ -230,12 +285,9 @@ def test_validate_instance_ranges():
 
 def test_an_invalid_instance_cannot_be_built():
     # a negative weight gives a step of 0.5, a probability of 2
-    net = InfluenceNetwork(3, [(0, 1, 1, 1), (1, 2, 1, -0.5)])
-    assert validate(net) == [
-        "negative weight -0.5 on edge (1, 2) direction 2->1"]
-    with pytest.raises(ValueError, match=r"^invalid instance: negative "
+    with pytest.raises(ValueError, match=r"^invalid network: negative "
                        r"weight -0\.5 on edge \(1, 2\) direction 2->1$"):
-        DiffusionInstance(net, seed=0, z=3)
+        InfluenceNetwork(3, [(0, 1, 1, 1), (1, 2, 1, -0.5)])
     ok = DiffusionInstance(path_net(3), seed=0, z=3)
     with pytest.raises(ValueError, match=r"^invalid instance: target z=0 "
                        r"outside 1\.\.3$"):
@@ -287,8 +339,9 @@ def test_load_reports_location(tmp_path):
     r = tmp_path / "neg.json"
     r.write_text(json.dumps({"n": 2, "edges": [
         {"u": 0, "v": 1, "wuv": -2.0, "wvu": 1.0}]}))
-    problems = validate(load(str(r)))
-    assert len(problems) == 1 and "-2.0" in problems[0]
+    with pytest.raises(NetworkFormatError, match=r"neg\.json: invalid network: "
+                       r"negative weight -2\.0 on edge \(0, 1\) direction 0->1$"):
+        load(str(r))
 
 
 @pytest.mark.parametrize("name, text", [

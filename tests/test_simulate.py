@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stratdiff import (DiffusionInstance, InfluenceNetwork, simulate_sequence)
+from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
+                       simulate_sequence)
 from helpers import full_instance, path_net, star_net
 
 
@@ -74,13 +76,27 @@ def test_trials_must_be_an_integer():
     assert simulate_sequence(inst, (0, 1, 2), trials=np.int64(3)).trials == 3
 
 
+def test_trials_past_the_memory_budget_are_refused_before_allocation():
+    inst = full_instance(path_net(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=r"^trials 100,000,000 need "
+                           r"about 3,815 MiB of sample arrays, over the 1,024 "
+                           r"MiB budget$"):
+            simulate_sequence(inst, (0, 1, 2), trials=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("edges, external, problem", [
     ([(0, 1, math.inf, 1.0)], None, "non-finite weight inf"),
     ([(0, 1, 1.0, 1.0)], [0.0, math.nan], "non-finite external influence nan"),
 ])
 def test_rejects_non_finite_instance(edges, external, problem):
-    with pytest.raises(ValueError, match="invalid instance: " + problem):
-        DiffusionInstance(InfluenceNetwork(2, edges, external), 0, 2)
+    with pytest.raises(ValueError, match="invalid network: " + problem):
+        InfluenceNetwork(2, edges, external)
 
 
 def test_as_dict_round_trip():
