@@ -26,12 +26,18 @@ BRUTE_SEQUENCE_BUDGET = math.factorial(9)
 # Bytes per state (a layer's candidates plus the states kept): tracemalloc
 # peaks of unpruned random_connected(n, 0.3) solves read 11.7-14.8, n 18-24
 _ARRAY_BYTES_PER_STATE = 14
+# and per (state, node) pair of a layer's largest chunk, for the chunk's
+# temporaries: pruned random_connected(n, 0.3) solves, n 22-40, peak at
+# 12-21 B a pair above the states' bytes
+_ARRAY_BYTES_PER_PAIR = 20
 _DICT_BYTES_PER_STATE = 75
 # dp_optimal's numpy kernel runs for node counts in this range: below it the
 # dict loop is faster (crossover measured on random_connected(n, 0.3), full
 # z; see CHANGES.md), above it int64 masks would overflow
 DP_VECTOR_MIN_NODES = 12
 DP_VECTOR_MAX_NODES = 62
+# states kept per layer by _dp_layers' first pass, which finds an incumbent
+BEAM_WIDTH = 8
 
 
 def brute_force_optimal(instance: DiffusionInstance, *,
@@ -208,92 +214,123 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     layer's first least time picks the smallest mask, so the answers agree.
 
     Branch and bound: a state S with time t is dropped when t + LB(S)
-    exceeds UB * (1 + 1e-9), UB being the greedy total.  minc_i, i's step
-    time with every neighbour active, is the least step time i can have,
-    and LB(S) sums the z - |S| smallest minc over S's inactive nodes (inf
-    when too few are finite).  LB is consistent, LB(P) <= minc_i +
-    LB(P + i), so every state on an optimal path passes, as does every
-    predecessor float-tied to one; both tie rules then pick what they pick
-    unbounded, and a dropped state can only raise the time of a state that
-    is not optimal.  The margin absorbs LB's different summation order
-    (at alpha = 0 every state sits exactly at UB).  An infeasible greedy
-    run gives UB = inf and drops nothing.
+    exceeds UB * (1 + 1e-9), UB being the least of the greedy total and
+    the replay total of an incumbent, the sequence a first pass finds
+    keeping only the BEAM_WIDTH states of least t + LB(S) per layer (ties
+    to the smaller mask).  minc_i, i's step time with every neighbour
+    active, is the least step time i can have, and LB(S) sums the z - |S|
+    smallest minc over S's inactive nodes (inf when too few are finite).
+    LB is consistent, LB(P) <= minc_i + LB(P + i), and UB is the total of
+    a real sequence, so every state on an optimal path passes, as does
+    every predecessor float-tied to one; both tie rules then pick what
+    they pick unbounded, and a dropped state can only raise the time of a
+    state that is not optimal.  The margin absorbs LB's different
+    summation order (at alpha = 0 every state sits exactly at UB).  With
+    neither sequence feasible UB = inf, and nothing is dropped.
     """
     import numpy as np
     net = instance.network
     n = net.node_count
-    seed = instance.seed
+    seed, z = instance.seed, instance.z
     alpha, beta = instance.alpha, instance.beta
     nbr = _neighbor_masks(net, force)
     minc = [_step_time_masked(net, nbr[i], i, alpha, beta) for i in range(n)]
     # rows in falling in-degree, the order _step_times_masked takes pairs in
     rows = np.array(sorted(range(n), key=lambda i: -len(net._incoming[i])))
     own, nbr = (1 << rows)[:, None], np.array(nbr, dtype=np.int64)[rows, None]
-    masks = np.array([1 << seed], dtype=np.int64)
-    times = np.zeros(1)
-    layers = []  # per layer after the seed's: (masks, last activated node)
-    kept = 1
-    ub = greedy_sequence(instance).total_time * (1 + 1e-9)
-    cheap = sorted(range(n), key=minc.__getitem__)
+    # LB's rows: nodes in rising minc, the order it adds them in
+    cheap = np.array(sorted(range(n), key=minc.__getitem__))
+    bits, minc = (1 << cheap)[:, None], np.array(minc)[cheap, None]
     step = max(1, (1 << 15) // n)  # states per chunk: at most 32,768 pairs
+    powers = {}  # ratio ** alpha, shared by both passes
 
-    for layer in range(2, instance.z + 1):
-        # per chunk of states and row: the node is off, and a neighbour on
-        chunks = [masks[lo:lo + step] for lo in range(0, masks.size, step)]
-        grow = [((m & own) == 0) & ((m & nbr) != 0) for m in chunks]
-        count = sum(map(np.count_nonzero, grow))
-        _check_layer(layer, count, kept, _ARRAY_BYTES_PER_STATE, force)
-        new = np.empty(count, dtype=np.int64)
-        lo = 0
-        for m, g in zip(chunks, grow):
-            part = (m | own)[g]
-            new[lo:lo + part.size] = part
-            lo += part.size
-        new.sort()  # then keep each distinct mask once
-        first = np.ones(new.size, dtype=bool)
-        np.not_equal(new[1:], new[:-1], out=first[1:])
-        new = new[first]
-        best = np.full(new.size, INF)
-        pred = np.zeros(new.size, dtype=np.int8)
-        for lo, m, g in zip(range(0, masks.size, step), chunks, grow):
-            row = np.repeat(np.arange(n), np.count_nonzero(g, axis=1))
-            s = np.flatnonzero(g) - row * m.size + lo
-            i, prev = rows[row], masks[s]
-            at = np.searchsorted(new, prev | (1 << i))
-            cand = times[s] + _step_times_masked(net, prev, i, alpha, beta)
-            old = best[at]
-            np.minimum.at(best, at, cand)
-            pred[at[best[at] < old]] = -1  # a mask whose time fell forgets
-            win = cand == best[at]  # and takes the largest of its tied nodes
-            np.maximum.at(pred, at[win], i[win].astype(np.int8))
-        # the bound's pass sets the layer's peak: free the pull's arrays first
-        del chunks, grow, part, row, s, i, prev, at, cand, old, win
-        lb = np.zeros(new.size)
-        short = np.full(new.size, instance.z - layer, dtype=np.int8)
-        for i in cheap:  # add the cheapest inactive nodes LB still lacks
-            add = (short > 0) & ((new & (1 << i)) == 0)
-            np.add(lb, minc[i], out=lb, where=add)
-            short -= add
-        keep = (best < INF) & (best + lb <= ub)
-        if not keep.any():
-            return None
-        masks, times = new[keep], best[keep]
-        layers.append((masks, pred[keep]))
-        kept += masks.size
-        # free this layer's temporaries before the next layer allocates
-        del first, new, best, pred, keep, lb, short, add
+    def solve(ub, beam=0):
+        masks = np.array([1 << seed], dtype=np.int64)
+        times = np.zeros(1)
+        layers = []  # per layer after the seed's: (masks, last activated node)
+        kept = 1
+        for layer in range(2, z + 1):
+            # per chunk of states and row: the node is off, and a neighbour on
+            chunks = [masks[lo:lo + step] for lo in range(0, masks.size, step)]
+            grow = [((m & own) == 0) & ((m & nbr) != 0) for m in chunks]
+            count = sum(map(np.count_nonzero, grow))
+            if not beam:  # the states, and the largest chunk's temporaries
+                chunk = _ARRAY_BYTES_PER_PAIR * n * min(count, step)
+                _check_layer(layer, count, kept, _ARRAY_BYTES_PER_STATE
+                             + chunk / (count + kept), force)
+            new = np.empty(count, dtype=np.int64)
+            lo = 0
+            for m, g in zip(chunks, grow):
+                part = (m | own)[g]
+                new[lo:lo + part.size] = part
+                lo += part.size
+            new.sort()  # then keep each distinct mask once
+            first = np.ones(new.size, dtype=bool)
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new[first]
+            best = np.full(new.size, INF)
+            pred = np.zeros(new.size, dtype=np.int8)
+            for lo, m, g in zip(range(0, masks.size, step), chunks, grow):
+                row = np.repeat(np.arange(n), np.count_nonzero(g, axis=1))
+                s = np.flatnonzero(g) - row * m.size + lo
+                i, prev = rows[row], masks[s]
+                at = np.searchsorted(new, prev | (1 << i))
+                cand = _step_times_masked(net, prev, i, alpha, beta, powers)
+                cand += times[s]
+                old = best[at]
+                np.minimum.at(best, at, cand)
+                pred[at[best[at] < old]] = -1  # a mask whose time fell forgets
+                win = cand == best[at]  # and takes the largest of its tied nodes
+                np.maximum.at(pred, at[win], i[win].astype(np.int8))
+            # free the pull's arrays before the bound's pass allocates
+            del chunks, grow, part, row, s, i, prev, at, cand, old, win
+            lb = _lower_bounds(new, bits, minc, z - layer, step)
+            lb += best
+            keep = np.flatnonzero((best < INF) & (lb <= ub))
+            if beam:  # the least t + LB, ties to the smaller mask
+                keep = np.sort(keep[np.argsort(lb[keep], kind="stable")[:beam]])
+            if not keep.size:
+                return None
+            masks, times = new[keep], best[keep]
+            layers.append((masks, pred[keep]))
+            kept += masks.size
+            # free this layer's temporaries before the next layer allocates
+            del first, new, best, pred, keep, lb
 
-    mask = int(masks[np.argmin(times)])
-    rev = []
-    for layer_masks, layer_pred in reversed(layers):
-        i = int(layer_pred[np.searchsorted(layer_masks, mask)])
-        rev.append(i)
-        mask ^= 1 << i
-    return [seed] + rev[::-1]
+        mask = int(masks[np.argmin(times)])
+        rev = []
+        for layer_masks, layer_pred in reversed(layers):
+            i = int(layer_pred[np.searchsorted(layer_masks, mask)])
+            rev.append(i)
+            mask ^= 1 << i
+        return [seed] + rev[::-1]
+
+    ub = greedy_sequence(instance).total_time
+    seq = solve(ub * (1 + 1e-9), BEAM_WIDTH)
+    if seq is not None:
+        ub = min(ub, sequence_time(instance, seq).total_time)
+    return solve(ub * (1 + 1e-9))
+
+
+def _lower_bounds(masks, bits, minc, short: int, step: int):
+    """LB per mask: the sum of the first `short` minc over its inactive
+    nodes, bits and minc being (n, 1) columns of the nodes in rising minc.
+
+    One pass per chunk of `step` masks: cumsum ranks the inactive nodes,
+    and the sum down the rows adds the taken minc, in that order, and an
+    exact 0.0 for every other node: the sum a per-node loop makes.
+    """
+    import numpy as np
+    lb = np.empty(masks.size)
+    for lo in range(0, masks.size, step):
+        off = (masks[lo:lo + step] & bits) == 0
+        off &= np.cumsum(off, axis=0, dtype=np.int8) <= short
+        lb[lo:lo + step] = np.where(off, minc, 0.0).sum(axis=0)
+    return lb
 
 
 def _step_times_masked(net: InfluenceNetwork, masks, nodes,
-                       alpha: float, beta: float):
+                       alpha: float, beta: float, powers=None):
     """Array form of _step_time_masked: node nodes[k] given active masks[k].
 
     nodes is one node, or an array whose in-degrees do not increase, so the
@@ -301,7 +338,9 @@ def _step_times_masked(net: InfluenceNetwork, masks, nodes,
     scalar result bit for bit: the active in-weight is summed in the same
     ascending-j order (an inactive neighbour adds an exact 0.0), and the
     power is taken by Python's ``**`` on each distinct ratio, because
-    numpy's vectorised pow can differ from it in the last bit.
+    numpy's vectorised pow can differ from it in the last bit.  powers, a
+    solve's [sorted ratios, their powers], keeps those across calls, so
+    each ratio is powered once per solve.
     """
     import numpy as np
     nodes = np.broadcast_to(nodes, masks.shape)
@@ -325,11 +364,15 @@ def _step_times_masked(net: InfluenceNetwork, masks, nodes,
     dead = s <= 0.0  # as is 0 / 0, at zero total influence
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.array(net.total_influence)[nodes] / s
-    if alpha != 1.0:
+    if alpha == 0.0:
+        ratio = np.ones(ratio.shape)  # x ** 0.0 is 1.0 for every float x
+    elif alpha != 1.0:
+        powers = {} if powers is None else powers
         uniq, inv = np.unique(ratio, return_inverse=True)
-        ratio = np.array([r ** alpha for r in uniq.tolist()])[inv]
+        ratio = np.array([powers[r] if r in powers else
+                          powers.setdefault(r, r ** alpha)
+                          for r in uniq.tolist()])[inv]
     if beta != 1.0:
         ratio = ratio / beta
-    # after the power: inf ** 0.0 is 1.0
     ratio[dead] = INF
     return ratio

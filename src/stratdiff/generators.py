@@ -16,8 +16,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .network import (DiffusionInstance, InfluenceNetwork, SequenceError,
-                      _integer, sequence_time)
+from .network import (DP_MEMORY_BUDGET, DiffusionInstance, InfluenceNetwork,
+                      SequenceError, SizeGuardError, _integer, sequence_time)
+
+# binarize_weights' tracemalloc peak per unit of weight (relay node, its two
+# edges and the network built on them), read at weights 10^4-10^5
+_RELAY_BYTES = 842
 
 
 @dataclass(frozen=True)
@@ -181,26 +185,31 @@ def binarize_weights(net: InfluenceNetwork):
     Returns (new_network, offset) with offset = total weight rewritten;
     the optimal full-diffusion time grows by exactly offset, since each
     relay costs one expected step after its source is active.  Requires
-    nonnegative integer weights.
+    nonnegative integer weights, and raises SizeGuardError, before any
+    relay is built, when the relays would pass DP_MEMORY_BUDGET.
     """
+    relays = 0
     for u, v, wuv, wvu in net.edges:
         for w in (wuv, wvu):
             if w != int(w):
                 raise ValueError(f"edge ({u}, {v}) weight {w} is not a "
                                  "nonnegative integer")
+            relays += int(w)
+    if (need := relays * _RELAY_BYTES) > DP_MEMORY_BUDGET:
+        raise SizeGuardError(
+            f"binarize_weights refused: {relays:,} relay nodes need about "
+            f"{need / 2**20:,.0f} MiB, over the "
+            f"{DP_MEMORY_BUDGET / 2**20:,.0f} MiB budget")
     edges = []
     nxt = net.node_count
-    offset = 0.0
     for u, v, wuv, wvu in net.edges:
         for a, b, w in ((u, v, wuv), (v, u, wvu)):
-            for _ in range(int(w)):
-                x = nxt
-                nxt += 1
+            for x in range(nxt, nxt + int(w)):
                 edges.append((a, x, 1.0, 0.0))
                 edges.append((x, b, 1.0, 0.0))
-                offset += 1.0
-    ext = tuple(net.external_influence) + (0.0,) * (nxt - net.node_count)
-    return InfluenceNetwork(nxt, edges, ext), offset
+            nxt += int(w)
+    ext = tuple(net.external_influence) + (0.0,) * relays
+    return InfluenceNetwork(nxt, edges, ext), float(relays)
 
 
 def random_connected(n: int, edge_prob: float = 0.3,

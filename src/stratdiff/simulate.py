@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 from .network import (DP_MEMORY_BUDGET, DiffusionInstance, SizeGuardError,
                       _integer, sequence_time)
 
-# simulate_sequence's tracemalloc peak per trial (its float64 sample arrays),
-# read at 10^5 and 10^6 trials
-_TRIAL_BYTES = 40
+# simulate_sequence's tracemalloc peak per trial (its two float64 arrays: the
+# totals and the draws), read at 10^5 and 10^6 trials
+_TRIAL_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,20 @@ def simulate_sequence(instance: DiffusionInstance, sequence, trials: int,
 
     rng = np.random.default_rng(rng_seed)
     totals = np.zeros(trials)
+    u = np.empty(trials)  # each step's draws, computed in place
     for p in probs:
         if p >= 1.0:
             totals += 1.0
             continue
-        u = rng.random(trials)
-        # inverse-transform geometric with support starting at 1
-        draws = np.ceil(np.log1p(-u) / math.log1p(-p))
-        totals += np.maximum(draws, 1.0)
+        rng.random(out=u)
+        # inverse-transform geometric with support starting at 1:
+        # max(ceil(log1p(-u) / log1p(-p)), 1)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, math.log1p(-p), out=u)
+        np.ceil(u, out=u)
+        totals += np.maximum(u, 1.0, out=u)
+    del u
     mean = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationResult(mean=mean, std_error=se, trials=trials,

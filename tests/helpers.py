@@ -234,3 +234,16 @@ def reference_majority(instance, rng=None):
         instance,
         lambda i, st, mask: sum((mask >> j) & 1 for j in net.neighbors(i)),
         "majority", rng)
+
+
+def reference_lower_bounds(masks, minc, short):
+    """The array DP's LB, one numpy pass per node: each mask adds the minc of
+    its inactive nodes in rising minc until `short` are added."""
+    import numpy as np
+    lb = np.zeros(masks.size)
+    left = np.full(masks.size, short, dtype=np.int8)
+    for i in sorted(range(len(minc)), key=minc.__getitem__):
+        add = (left > 0) & ((masks & (1 << i)) == 0)
+        np.add(lb, minc[i], out=lb, where=add)
+        left -= add
+    return lb

@@ -343,7 +343,7 @@ def test_simulate_refuses_trials_past_the_memory_budget(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", p, "--sequence", "0,1,2",
                          "--trials", "100000000")
     assert code == 2 and out == ""
-    assert err.startswith("error: trials 100,000,000 need about 3,815 MiB")
+    assert err.startswith("error: trials 100,000,000 need about 1,526 MiB")
 
 
 def test_simulate_infeasible(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
@@ -10,7 +11,8 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
                        random_connected, sequence_time, SetCoverInstance)
 from stratdiff import exact
 from helpers import (cycle_chord_block, dp_kernel_result, full_instance,
-                     path_net, random_weighted_net, star_net)
+                     path_net, random_weighted_net, reference_lower_bounds,
+                     star_net)
 
 INF = math.inf
 
@@ -145,7 +147,7 @@ def test_determinism():
     assert brute_force_optimal(inst) == brute_force_optimal(inst)
 
 
-@pytest.mark.parametrize("n, seed, alpha, beta, weights", [
+_MID_SIZE = [
     (12, 0, 0.0, 0.5, dict(integer_weights=True, weight_range=(0, 2))),
     (13, 5, 0.5, 1.0, {}),
     (14, 3, 0.0, 1.0, {}),
@@ -157,7 +159,10 @@ def test_determinism():
     # integer weights in {1, 2}: many tied times
     (13, 0, 1.0, 1.0, dict(integer_weights=True, weight_range=(1, 2))),
     (14, 2, 0.5, 0.7, dict(integer_weights=True, weight_range=(1, 2))),
-])
+]
+
+
+@pytest.mark.parametrize("n, seed, alpha, beta, weights", _MID_SIZE)
 def test_dp_kernels_agree_mid_size(n, seed, alpha, beta, weights):
     net = random_connected(n, 0.3, rng_seed=n, **weights)
     for z in range(1, n + 1):
@@ -268,6 +273,106 @@ def test_dp_bound_prunes_nothing_it_cannot(monkeypatch, inst):
     assert held == dict_held
 
 
+@pytest.mark.parametrize("n", [12, 18, 30, 62])
+def test_lower_bounds_match_the_per_node_loop(n):
+    # minc with ties and infs; masks of every size, each summed for every z
+    rng = random.Random(n)
+    minc = [rng.choice([1.0, 1.25, INF]) if rng.random() < 0.3
+            else rng.uniform(1.0, 4.0) for _ in range(n)]
+    cheap = np.array(sorted(range(n), key=minc.__getitem__))
+    bits, col = (1 << cheap)[:, None], np.array(minc)[cheap, None]
+    for layer in range(1, n + 1):
+        masks = np.array([sum(1 << i for i in rng.sample(range(n), layer))
+                          for _ in range(40)], dtype=np.int64)
+        for z in range(layer, n + 1):
+            want = reference_lower_bounds(masks, minc, z - layer)
+            for step in (7, 40):  # several chunks, and one
+                got = exact._lower_bounds(masks, bits, col, z - layer, step)
+                assert got.tobytes() == want.tobytes(), (layer, z, step)
+
+
+def _kept_per_layer(monkeypatch, inst):
+    """_dp_layers' answer, and per layer the pairs it priced and the states
+    it kept (read off the guard's running total, so all but the last
+    layer's)."""
+    seen = []
+    check = exact._check_layer
+
+    def spy(layer, candidates, kept, bytes_per_state, force):
+        seen.append((candidates, kept))
+        check(layer, candidates, kept, bytes_per_state, force)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_check_layer", spy)
+        seq = exact._dp_layers(inst)
+    kept = [b - a for (_, a), (_, b) in zip(seen, seen[1:])]
+    return seq, [c for c, _ in seen], kept
+
+
+@pytest.mark.parametrize("n, seed, alpha, beta, weights", _MID_SIZE)
+def test_dp_beam_keeps_no_more_states_than_greedy_alone(monkeypatch, n, seed,
+                                                        alpha, beta, weights):
+    # the baseline drops the beam's incumbent from UB: its replay reads inf
+    net = random_connected(n, 0.3, rng_seed=n, **weights)
+    for z in range(2, n + 1):
+        inst = DiffusionInstance(net, seed, z, alpha, beta)
+        seq, priced, kept = _kept_per_layer(monkeypatch, inst)
+        with monkeypatch.context() as m:
+            m.setattr(exact, "sequence_time",
+                      lambda inst, seq: exact.infeasible_result(0, "beam"))
+            base = _kept_per_layer(monkeypatch, inst)
+        assert seq == base[0], z
+        assert len(priced) == len(base[1]) and len(kept) == len(base[2])
+        assert all(a <= b for a, b in zip(priced + kept, base[1] + base[2]))
+
+
+def test_dp_beam_sequence_is_a_real_incumbent(monkeypatch):
+    # the sequence the beam pass replays is a z-sequence from the seed, and
+    # its replay total is at least the optimum
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(2, 16))
+        weights = draw(st.sampled_from(
+            [{}, dict(integer_weights=True, weight_range=(0, 2))]))
+        net = random_connected(n, draw(st.sampled_from([0.2, 0.3, 0.5])),
+                               rng_seed=draw(st.integers(0, 2**31)),
+                               **weights)
+        return DiffusionInstance(net, draw(st.integers(0, n - 1)),
+                                 draw(st.integers(1, n)),
+                                 draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                 draw(st.sampled_from([0.7, 1.0])))
+
+    @settings(max_examples=80)
+    @given(instances())
+    def check(inst):
+        beam = []
+
+        def spy(inst, seq):
+            beam.append(tuple(seq))
+            return sequence_time(inst, seq)
+
+        with monkeypatch.context() as m:
+            m.setattr(exact, "sequence_time", spy)
+            exact._dp_layers(inst)
+        best = dp_optimal(inst)
+        assert len(beam) <= 1
+        if beam:
+            seq = beam[0]
+            assert len(seq) == inst.z and seq[0] == inst.seed
+            assert len(set(seq)) == inst.z
+            assert set(seq) <= set(range(inst.network.node_count))
+            replay = sequence_time(inst, seq)
+            assert replay.feasible
+            assert replay.total_time >= best.total_time
+        else:  # below three layers it fails only where the full pass does
+            assert inst.z > 2 or not best.feasible
+
+    check()
+
+
 def test_dp_bound_solves_past_the_unbounded_guard():
     # unbounded, layer 11 alone would need over 1 GiB and be refused
     inst = DiffusionInstance(random_connected(28, 0.3, rng_seed=28), 0, 14)
@@ -323,7 +428,9 @@ def test_dp_memory_follows_reachable_states():
     DiffusionInstance(random_connected(28, 0.3, rng_seed=28), 0, 14),
     # at alpha = 0 every state ties with greedy and nothing is pruned
     full_instance(random_connected(18, 0.3, rng_seed=18), alpha=0.0),
-], ids=["pruned", "unpruned"])
+    # layers of a few thousand states: the chunk temporaries set the peak
+    DiffusionInstance(random_connected(22, 0.3, rng_seed=22), 0, 11),
+], ids=["pruned", "unpruned", "pruned-small"])
 def test_dp_memory_estimate_tracks_the_peak(monkeypatch, inst):
     need = []
     check = exact._check_layer

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, SequenceError,
-                       SetCoverInstance, binarize_weights,
+                       SetCoverInstance, SizeGuardError, binarize_weights,
                        brute_force_set_cover, dp_optimal, extract_cover,
                        inapprox_scale, make_gk, make_inapprox,
                        make_np_hardness, random_connected, sequence_time)
@@ -253,6 +254,21 @@ def test_binarize_zero_direction():
 def test_binarize_rejects_fractional():
     with pytest.raises(ValueError):
         binarize_weights(InfluenceNetwork(2, [(0, 1, 1.5, 1.0)]))
+
+
+def test_binarize_refuses_relays_past_the_budget_before_building_them():
+    # 10^7 units of weight would take about 8 GiB of relays
+    net = InfluenceNetwork(2, [(0, 1, 1e7, 0.0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=r"^binarize_weights refused: "
+                           r"10,000,000 relay nodes need about 8,030 MiB, "
+                           r"over the 1,024 MiB budget$"):
+            binarize_weights(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_random_connected():

@@ -81,7 +81,7 @@ def test_trials_past_the_memory_budget_are_refused_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=r"^trials 100,000,000 need "
-                           r"about 3,815 MiB of sample arrays, over the 1,024 "
+                           r"about 1,526 MiB of sample arrays, over the 1,024 "
                            r"MiB budget$"):
             simulate_sequence(inst, (0, 1, 2), trials=10**8)
         peak = tracemalloc.get_traced_memory()[1]
