@@ -5,8 +5,8 @@ should z-1 further nodes be activated so that the sum of expected step times
 is minimal.  brute_force_optimal enumerates sequences and is the reference
 oracle for tiny inputs; dp_optimal runs a dynamic program over node subsets
 and is exact for moderate n.  Its 12-62-node kernel _dp_layers and the
-array step-time kernel it calls, _step_times_masked, are the only users of
-numpy here, and import it only when they run.
+array helpers it calls, _step_times_masked and _lower_bounds, are the only
+users of numpy here, and import it only when they run.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def dp_optimal(instance: DiffusionInstance, *,
     Two kernels give the same answer: a Python loop over a dict of masks
     and, for DP_VECTOR_MIN_NODES <= node_count <= DP_VECTOR_MAX_NODES, a
     numpy kernel that builds each layer in one pass over its (state, node)
-    pairs and drops the states a lower bound proves worse than the greedy
-    total (see _dp_layers).  Either kernel estimates a layer's memory
+    pairs and drops the states a lower bound proves worse than an
+    incumbent, the better of the greedy sequence and a beam pass's (see
+    _dp_layers).  Either kernel estimates a layer's memory
     before building it and raises SizeGuardError past DP_MEMORY_BUDGET,
     unless force=True.
     """
@@ -214,19 +215,18 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     layer's first least time picks the smallest mask, so the answers agree.
 
     Branch and bound: a state S with time t is dropped when t + LB(S)
-    exceeds UB * (1 + 1e-9), UB being the least of the greedy total and
-    the replay total of an incumbent, the sequence a first pass finds
-    keeping only the BEAM_WIDTH states of least t + LB(S) per layer (ties
-    to the smaller mask).  minc_i, i's step time with every neighbour
-    active, is the least step time i can have, and LB(S) sums the z - |S|
-    smallest minc over S's inactive nodes (inf when too few are finite).
-    LB is consistent, LB(P) <= minc_i + LB(P + i), and UB is the total of
-    a real sequence, so every state on an optimal path passes, as does
-    every predecessor float-tied to one; both tie rules then pick what
-    they pick unbounded, and a dropped state can only raise the time of a
-    state that is not optimal.  The margin absorbs LB's different
+    exceeds UB * (1 + 1e-9), UB being the least replay total of the greedy
+    sequence and of a first pass's, which keeps the BEAM_WIDTH states of
+    least t + LB(S) per layer (ties to the smaller mask).  minc_i, i's step
+    time with every neighbour active, is the least step time i can have,
+    and LB(S) sums the z - |S| smallest minc over S's inactive nodes (inf
+    when too few are finite).  LB is consistent, LB(P) <= minc_i +
+    LB(P + i), and UB a real sequence's total, so every state on an optimal
+    path passes, as does every predecessor float-tied to one; both tie
+    rules then pick what they pick unbounded, and a dropped state can only
+    raise the time of a state that is not optimal.  The margin absorbs LB's
     summation order (at alpha = 0 every state sits exactly at UB).  With
-    neither sequence feasible UB = inf, and nothing is dropped.
+    neither sequence feasible UB = inf and nothing is dropped.
     """
     import numpy as np
     net = instance.network
@@ -313,13 +313,9 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
 
 
 def _lower_bounds(masks, bits, minc, short: int, step: int):
-    """LB per mask: the sum of the first `short` minc over its inactive
-    nodes, bits and minc being (n, 1) columns of the nodes in rising minc.
-
-    One pass per chunk of `step` masks: cumsum ranks the inactive nodes,
-    and the sum down the rows adds the taken minc, in that order, and an
-    exact 0.0 for every other node: the sum a per-node loop makes.
-    """
+    """Per mask, the sum of its first `short` inactive nodes' minc, bits and
+    minc being (n, 1) columns in rising minc: cumsum ranks, and the sum down
+    the rows adds those minc and an exact 0.0 as a per-node loop would."""
     import numpy as np
     lb = np.empty(masks.size)
     for lo in range(0, masks.size, step):
@@ -339,8 +335,8 @@ def _step_times_masked(net: InfluenceNetwork, masks, nodes,
     ascending-j order (an inactive neighbour adds an exact 0.0), and the
     power is taken by Python's ``**`` on each distinct ratio, because
     numpy's vectorised pow can differ from it in the last bit.  powers, a
-    solve's [sorted ratios, their powers], keeps those across calls, so
-    each ratio is powered once per solve.
+    dict shared by a solve's calls, keeps each ratio's power, so each is
+    powered once per solve.
     """
     import numpy as np
     nodes = np.broadcast_to(nodes, masks.shape)
@@ -368,6 +364,7 @@ def _step_times_masked(net: InfluenceNetwork, masks, nodes,
         ratio = np.ones(ratio.shape)  # x ** 0.0 is 1.0 for every float x
     elif alpha != 1.0:
         powers = {} if powers is None else powers
+        ratio[dead] = 1.0  # not nan, which no dict lookup finds
         uniq, inv = np.unique(ratio, return_inverse=True)
         ratio = np.array([powers[r] if r in powers else
                           powers.setdefault(r, r ** alpha)
