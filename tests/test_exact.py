@@ -314,6 +314,7 @@ def test_dp_beam_keeps_no_more_states_than_greedy_alone(monkeypatch, n, seed,
                                                         alpha, beta, weights):
     # the baseline drops the beam's incumbent from UB: its replay reads inf
     net = random_connected(n, 0.3, rng_seed=n, **weights)
+    totals = [0, 0]
     for z in range(2, n + 1):
         inst = DiffusionInstance(net, seed, z, alpha, beta)
         seq, priced, kept = _kept_per_layer(monkeypatch, inst)
@@ -324,6 +325,10 @@ def test_dp_beam_keeps_no_more_states_than_greedy_alone(monkeypatch, n, seed,
         assert seq == base[0], z
         assert len(priced) == len(base[1]) and len(kept) == len(base[2])
         assert all(a <= b for a, b in zip(priced + kept, base[1] + base[2]))
+        totals[0] += sum(kept)
+        totals[1] += sum(base[2])
+    # at alpha = 0 every state ties with greedy; elsewhere the beam prunes
+    assert totals[0] < totals[1] or alpha == 0.0
 
 
 def test_dp_beam_sequence_is_a_real_incumbent(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork, SizeGuardError,
                        simulate_sequence)
+from stratdiff import simulate
 from helpers import full_instance, path_net, star_net
 
 
@@ -88,6 +89,20 @@ def test_trials_past_the_memory_budget_are_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sample_arrays_peak_within_the_guards_bytes_per_trial():
+    # the guard charges _TRIAL_BYTES a trial: the totals and one array the
+    # draws are computed in
+    inst = full_instance(path_net(4))
+    simulate_sequence(inst, (0, 1, 2, 3), trials=10)  # numpy imported
+    tracemalloc.start()
+    try:
+        simulate_sequence(inst, (0, 1, 2, 3), trials=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**5 * simulate._TRIAL_BYTES * 1.05
 
 
 @pytest.mark.parametrize("edges, external, problem", [
