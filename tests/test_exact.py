@@ -147,7 +147,7 @@ def test_determinism():
     assert brute_force_optimal(inst) == brute_force_optimal(inst)
 
 
-_MID_SIZE = [
+@pytest.mark.parametrize("n, seed, alpha, beta, weights", [
     (12, 0, 0.0, 0.5, dict(integer_weights=True, weight_range=(0, 2))),
     (13, 5, 0.5, 1.0, {}),
     (14, 3, 0.0, 1.0, {}),
@@ -159,10 +159,7 @@ _MID_SIZE = [
     # integer weights in {1, 2}: many tied times
     (13, 0, 1.0, 1.0, dict(integer_weights=True, weight_range=(1, 2))),
     (14, 2, 0.5, 0.7, dict(integer_weights=True, weight_range=(1, 2))),
-]
-
-
-@pytest.mark.parametrize("n, seed, alpha, beta, weights", _MID_SIZE)
+])
 def test_dp_kernels_agree_mid_size(n, seed, alpha, beta, weights):
     net = random_connected(n, 0.3, rng_seed=n, **weights)
     for z in range(1, n + 1):
@@ -307,6 +304,10 @@ def _kept_per_layer(monkeypatch, inst):
         seq = exact._dp_layers(inst)
     kept = [b - a for (_, a), (_, b) in zip(seen, seen[1:])]
     return seq, [c for c, _ in seen], kept
+
+
+# the kernel-agreement instances, read off that test's parameters
+_MID_SIZE = test_dp_kernels_agree_mid_size.pytestmark[0].args[1]
 
 
 @pytest.mark.parametrize("n, seed, alpha, beta, weights", _MID_SIZE)
