@@ -5,8 +5,8 @@ should z-1 further nodes be activated so that the sum of expected step times
 is minimal.  brute_force_optimal enumerates sequences and is the reference
 oracle for tiny inputs; dp_optimal runs a dynamic program over node subsets
 and is exact for moderate n.  Its 12-62-node kernel _dp_layers and the
-array helpers it calls, _step_times_masked and _lower_bounds, are the only
-users of numpy here, and import it only when they run.
+array helpers it calls, _in_table (once per solve), _step_times_masked and
+_lower_bounds, are the only users of numpy here, and import it when they run.
 """
 
 from __future__ import annotations
@@ -209,10 +209,11 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
 
     Each layer is one pass over its (state, node) pairs, i joining S when
     i is inactive with an active neighbour, in chunks of states: the new
-    masks are deduplicated once, _step_times_masked prices every pair, and
-    each new mask keeps the least time, ties to the largest node, as
-    _dp_dict's push order does; the additions are the same and the final
-    layer's first least time picks the smallest mask, so the answers agree.
+    masks are deduplicated once, _step_times_masked prices every pair from
+    the one _in_table that both passes share, and each new mask keeps the
+    least time, ties to the largest node, as _dp_dict's push order does; the
+    additions are the same and the final layer's first least time picks the
+    smallest mask, so the answers agree.
 
     Branch and bound: a state S with time t is dropped when t + LB(S)
     exceeds UB * (1 + 1e-9), UB being the least replay total of the greedy
@@ -235,14 +236,14 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
     alpha, beta = instance.alpha, instance.beta
     nbr = _neighbor_masks(net, force)
     minc = [_step_time_masked(net, nbr[i], i, alpha, beta) for i in range(n)]
+    table, powers = _in_table(net), {}  # ratio ** alpha; both passes share
     # rows in falling in-degree, the order _step_times_masked takes pairs in
-    rows = np.array(sorted(range(n), key=lambda i: -len(net._incoming[i])))
+    rows = np.argsort(-table[2], kind="stable")
     own, nbr = (1 << rows)[:, None], np.array(nbr, dtype=np.int64)[rows, None]
     # LB's rows: nodes in rising minc, the order it adds them in
     cheap = np.array(sorted(range(n), key=minc.__getitem__))
     bits, minc = (1 << cheap)[:, None], np.array(minc)[cheap, None]
     step = max(1, (1 << 15) // n)  # states per chunk: at most 32,768 pairs
-    powers = {}  # ratio ** alpha, shared by both passes
 
     def solve(ub, beam=0):
         masks = np.array([1 << seed], dtype=np.int64)
@@ -271,12 +272,11 @@ def _dp_layers(instance: DiffusionInstance, force: bool = False):
             best = np.full(new.size, INF)
             pred = np.zeros(new.size, dtype=np.int8)
             for lo, m, g in zip(range(0, masks.size, step), chunks, grow):
-                row = np.repeat(np.arange(n), np.count_nonzero(g, axis=1))
-                s = np.flatnonzero(g) - row * m.size + lo
-                i, prev = rows[row], masks[s]
+                row, s = np.nonzero(g)
+                i, prev = rows[row], m[s]
                 at = np.searchsorted(new, prev | (1 << i))
-                cand = _step_times_masked(net, prev, i, alpha, beta, powers)
-                cand += times[s]
+                cand = _step_times_masked(table, prev, i, alpha, beta, powers)
+                cand += times[lo + s]
                 old = best[at]
                 np.minimum.at(best, at, cand)
                 pred[at[best[at] < old]] = -1  # a mask whose time fell forgets
@@ -325,46 +325,46 @@ def _lower_bounds(masks, bits, minc, short: int, step: int):
     return lb
 
 
-def _step_times_masked(net: InfluenceNetwork, masks, nodes,
-                       alpha: float, beta: float, powers=None):
-    """Array form of _step_time_masked: node nodes[k] given active masks[k].
-
-    nodes is one node, or an array whose in-degrees do not increase, so the
-    pairs with an r-th in-neighbour form a prefix.  Each element equals the
-    scalar result bit for bit: the active in-weight is summed in the same
-    ascending-j order (an inactive neighbour adds an exact 0.0), and the
-    power is taken by Python's ``**`` on each distinct ratio, because
-    numpy's vectorised pow can differ from it in the last bit.  powers, a
-    dict shared by a solve's calls, keeps each ratio's power, so each is
-    powered once per solve.
-    """
+def _in_table(net: InfluenceNetwork):
+    """_step_times_masked's table, built once per solve: row r of two (max
+    in-degree, n) arrays holds each node's r-th in-neighbour id and weight
+    bits (ascending j, padding 0), then in-degrees and total influences."""
     import numpy as np
+    inc = net._incoming
+    pad = ((0, 0.0),) * max(map(len, inc), default=0)
+    j, w = np.array([lst + pad[len(lst):] for lst in inc], float).reshape(
+        len(inc), len(pad), 2).T.copy()
+    return (j.astype(np.intp), w.view(np.int64), np.array(list(map(len, inc))),
+            np.array(net.total_influence))
+
+
+def _step_times_masked(table, masks, nodes, alpha: float, beta: float,
+                       powers=None):
+    """Array form of _step_time_masked: node nodes[k] given active masks[k],
+    table being the solve's _in_table(net).  nodes is one node, or an array
+    whose in-degrees do not increase (one in-degree's pairs may interleave),
+    so the pairs with an r-th in-neighbour form a prefix, priced from row r.
+    Each element equals the scalar result bit for bit: the active in-weight
+    is summed in the same ascending-j order (an inactive neighbour adds an
+    exact 0.0), and the power is Python's ``**`` (numpy's can differ in the
+    last bit) once per distinct ratio per solve, memoised in powers."""
+    import numpy as np
+    j, w, deg, total = table
     nodes = np.broadcast_to(nodes, masks.shape)
-    # runs of one node: where each ends, its size and its in-list, padded
-    ends = (np.flatnonzero(np.diff(nodes)) + 1).tolist() + [nodes.size]
-    size = np.diff([0] + ends)
-    runs = [net._incoming[nodes[e - 1]] for e in ends if e]
-    pad = ((0, 0.0),) * max(map(len, runs), default=0)
-    jw = np.array([x for lst in runs for p in lst + pad[len(lst):] for x in p],
-                  float).reshape(len(runs), len(pad), 2)
-    j, w = jw[..., 0].astype(np.intp), jw[..., 1].view(np.int64)
+    ends = np.searchsorted(-deg[nodes], -np.arange(len(j))).tolist()
     s = np.zeros(masks.shape)
-    live = len(runs)
-    for r in range(len(pad)):
-        while len(runs[live - 1]) <= r:  # the runs with an r-th neighbour
-            live -= 1
-        bit = masks[:ends[live - 1]] >> np.repeat(j[:live, r], size[:live])
+    for r, end in enumerate(ends):
+        bit = masks[:end] >> j[r][nodes[:end]]
         bit &= 1
-        bit *= np.repeat(w[:live, r], size[:live])  # w's bits, or 0
-        s[:bit.size] += bit.view(np.float64)
-    dead = s <= 0.0  # as is 0 / 0, at zero total influence
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.array(net.total_influence)[nodes] / s
+        bit *= w[r][nodes[:end]]  # w's bits, or 0
+        s[:end] += bit.view(np.float64)
+    dead = s <= 0.0  # as at zero total influence, since s <= total
+    s[dead] = INF
+    ratio = total[nodes] / s  # 0.0 where dead, inf by the last line
     if alpha == 0.0:
         ratio = np.ones(ratio.shape)  # x ** 0.0 is 1.0 for every float x
     elif alpha != 1.0:
         powers = {} if powers is None else powers
-        ratio[dead] = 1.0  # not nan, which no dict lookup finds
         uniq, inv = np.unique(ratio, return_inverse=True)
         ratio = np.array([powers[r] if r in powers else
                           powers.setdefault(r, r ** alpha)

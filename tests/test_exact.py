@@ -379,6 +379,29 @@ def test_dp_beam_sequence_is_a_real_incumbent(monkeypatch):
     check()
 
 
+@pytest.mark.parametrize("n, z", [(12, 12), (40, 8)])
+def test_dp_builds_one_pricing_table_per_solve(monkeypatch, n, z):
+    # the beam pass and the full pass price from the same table
+    built, used = [], []
+    in_table, price = exact._in_table, exact._step_times_masked
+
+    def build(net):
+        built.append(in_table(net))
+        return built[-1]
+
+    def spy(table, *args):
+        used.append(table)
+        return price(table, *args)
+
+    monkeypatch.setattr(exact, "_in_table", build)
+    monkeypatch.setattr(exact, "_step_times_masked", spy)
+    inst = DiffusionInstance(random_connected(n, 0.3, rng_seed=n), 0, z)
+    assert dp_optimal(inst).feasible
+    assert len(built) == 1
+    assert len(used) >= 2 * (z - 1)  # every layer of both passes
+    assert all(table is built[0] for table in used)
+
+
 def test_dp_bound_solves_past_the_unbounded_guard():
     # unbounded, layer 11 alone would need over 1 GiB and be refused
     inst = DiffusionInstance(random_connected(28, 0.3, rng_seed=28), 0, 14)

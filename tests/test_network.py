@@ -15,7 +15,7 @@ from stratdiff import (DiffusionInstance, InfluenceNetwork, NetworkFormatError,
                        infeasible_result, load, load_instance, save,
                        save_instance, sequence_time, tw_partial_optimal,
                        validate_instance)
-from stratdiff.exact import _step_times_masked
+from stratdiff.exact import _in_table, _step_times_masked
 from stratdiff.network import _step_time_masked
 from helpers import path_net, random_weighted_net
 
@@ -453,7 +453,8 @@ def test_step_times_masked_equals_scalar_kernel():
         for alpha in (0.0, 0.3, 0.5, 1.0):
             for beta in (0.5, 1.0):
                 for i in range(6):
-                    got = _step_times_masked(net, masks, i, alpha, beta)
+                    got = _step_times_masked(_in_table(net), masks, i, alpha,
+                                             beta)
                     want = [_step_time_masked(net, m, i, alpha, beta)
                             for m in range(1 << 6)]
                     assert got.tolist() == want, (net.edges, i, alpha, beta)
@@ -463,9 +464,51 @@ def test_step_times_masked_equals_scalar_kernel():
                 random.Random(len(net.edges)).shuffle(pairs)
                 pairs.sort(key=lambda p: -len(net.incoming(p[1])))
                 m, i = (np.array(col) for col in zip(*pairs))
-                got = _step_times_masked(net, m, i, alpha, beta)
+                got = _step_times_masked(_in_table(net), m, i, alpha, beta)
                 want = [_step_time_masked(net, *p, alpha, beta) for p in pairs]
                 assert got.tolist() == want, (net.edges, alpha, beta)
+
+
+def _wide_nets():
+    # 20 nodes; node 0 hears from 9-15 others, the rest from a few; node 19
+    # only hears 0.0, so its total influence is zero
+    rng = random.Random(37)
+    pick = lambda: rng.choice([0.0, 1.0, rng.uniform(0.1, 3.0)])  # noqa: E731
+    for _ in range(3):
+        hub = set(rng.sample(range(1, 19), rng.randrange(9, 16)))
+        edges = [(u, v, rng.uniform(0.1, 3.0) if u == 0 else pick(), pick())
+                 for u in range(19) for v in range(u + 1, 19)
+                 if (v in hub if u == 0 else rng.random() < 0.25)]
+        edges += [(u, 19, 0.0, pick()) for u in rng.sample(range(19), 4)]
+        yield InfluenceNetwork(20, edges, [rng.choice([0.0, 0.5])
+                                           for _ in range(19)] + [0.0])
+
+
+def test_step_times_masked_equals_scalar_kernel_on_wide_nodes():
+    # from 8 in-neighbours on, a pairwise (reordered) sum would show
+    rng = random.Random(41)
+    masks = [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(150)]
+    col = np.array(masks)
+    for net in _wide_nets():
+        degree = [len(net.incoming(i)) for i in range(20)]
+        assert max(degree) >= 9 and len(set(degree)) > 3
+        assert net.total_influence[19] == 0.0
+        table = _in_table(net)
+        for alpha in (0.0, 0.3, 1.0):
+            for beta in (0.5, 1.0):
+                for i in range(20):
+                    got = _step_times_masked(table, col, i, alpha, beta)
+                    want = [_step_time_masked(net, m, i, alpha, beta)
+                            for m in masks]
+                    assert got.tolist() == want, (i, alpha, beta)
+                # pairs in falling in-degree, one in-degree's interleaved
+                pairs = [(m, i) for m in masks[:60] for i in range(20)]
+                rng.shuffle(pairs)
+                pairs.sort(key=lambda p: -degree[p[1]])
+                m, i = (np.array(col) for col in zip(*pairs))
+                got = _step_times_masked(table, m, i, alpha, beta)
+                want = [_step_time_masked(net, *p, alpha, beta) for p in pairs]
+                assert got.tolist() == want, (alpha, beta)
 
 
 def _path_build_peak(n):
