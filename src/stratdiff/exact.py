@@ -354,6 +354,8 @@ def _step_times_masked(table, masks, nodes, alpha: float, beta: float,
     ends = np.searchsorted(-deg[nodes], -np.arange(len(j))).tolist()
     s = np.zeros(masks.shape)
     for r, end in enumerate(ends):
+        if not end:  # ends never increase: no pair has an r-th in-neighbour
+            break
         bit = masks[:end] >> j[r][nodes[:end]]
         bit &= 1
         bit *= w[r][nodes[:end]]  # w's bits, or 0

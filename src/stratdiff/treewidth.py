@@ -151,9 +151,11 @@ def validate_decomposition(net: InfluenceNetwork, td: TreeDecomposition):
 
 
 def _fill(adj, v) -> int:
-    """Edges that eliminating v would add: non-adjacent pairs of neighbours."""
+    """Edges that eliminating v would add: non-adjacent pairs of neighbours.
+    Each intersection iterates its smaller side: a star's centre is O(d)."""
     nb = adj[v]
-    return sum(len(nb - adj[a]) - 1 for a in nb) // 2
+    d = len(nb)
+    return (d * (d - 1) - sum(len(nb & adj[a]) for a in nb)) // 2
 
 
 def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
@@ -163,10 +165,11 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
     ties.  Each eliminated vertex yields the bag of itself plus its current
     neighbors; a bag's parent is the bag of the first-eliminated other
     member.  Exact on trees (width 1); small widths on sparse graphs.
-    Fills sit in a heap keyed (fill, id), and an elimination re-counts only
-    its neighbours and theirs, so on graphs of bounded degree (and width)
-    the cost is O(n log n).  A simplicial vertex (fill 0) is eliminated
-    with no re-count, so stars cost O(n log n) too.
+    Fills sit in a heap keyed (fill, id).  Each is counted once, then kept
+    exact: a fill edge updates its two ends and their common neighbours in
+    O(min degree), and dropping an eliminated vertex costs O(1) per
+    neighbour.  So the cost is the initial counts plus O(min degree) per
+    fill edge, and O(n log n) on trees and stars.
     """
     n = net.node_count
     adj = [set(net.neighbors(i)) for i in range(n)]
@@ -175,27 +178,32 @@ def min_fill_decomposition(net: InfluenceNetwork) -> TreeDecomposition:
     bags, elim = [], []
     while heap:
         f, v = heapq.heappop(heap)
-        if fill[v] != f:  # eliminated, or re-counted since it was pushed
+        if fill[v] != f:  # eliminated, or changed since it was pushed
             continue
-        fill[v] = -1
         nb = adj[v]
         bags.append(frozenset(nb | {v}))
         elim.append(v)
-        if f == 0:  # nb is a clique: no edge is added, and each a loses only
-            for a in nb:  # v and the pairs of v with a's neighbours outside nb
-                adj[a].discard(v)
-                fill[a] -= len(adj[a]) - len(nb) + 1  # len(adj[a] - nb)
-                heapq.heappush(heap, (fill[a], a))
-            continue
-        for a in nb:
-            adj[a] |= nb
-            adj[a] -= {a, v}
-        # Only these vertices' neighbourhoods, or edges among them, changed
-        for u in nb.union(*(adj[a] for a in nb)):
-            f = _fill(adj, u)
-            if f != fill[u]:
-                fill[u] = f
-                heapq.heappush(heap, (f, u))
+        changed = set(nb)
+        if f:  # join nb into a clique, v still in the graph, edge by edge
+            for x in nb:
+                for y in nb - adj[x] - {x}:
+                    common = adj[x] & adj[y]
+                    # x gains the pairs (y, b) for its b not adjacent to y,
+                    # and y likewise; (x, y) stops being missing for common
+                    fill[x] += len(adj[x]) - len(common)
+                    fill[y] += len(adj[y]) - len(common)
+                    for w in common:
+                        fill[w] -= 1
+                    changed |= common
+                    adj[x].add(y)
+                    adj[y].add(x)
+        fill[v] = -1
+        for a in nb:  # nb is a clique: a loses its pairs of v with b outside nb
+            fill[a] -= len(adj[a]) - len(nb)
+            adj[a].discard(v)
+        changed.discard(v)
+        for u in changed:
+            heapq.heappush(heap, (fill[u], u))
 
     pos = {v: i for i, v in enumerate(elim)}
     edges = []

@@ -1,11 +1,12 @@
 """The incremental min-fill and the heuristics' frontier against their
 full-rescan references in tests/helpers.py, and the work each does.
 
-min_fill_decomposition re-counts fills only around the eliminated vertex,
-and heuristics._run re-prices only the last activated node's neighbours;
-both must return exactly what the rescans return (the same decomposition,
-the same SolveResult and the same random draws), while their counted work
-grows linearly on paths and trees.
+min_fill_decomposition counts each vertex's fill once and then updates it
+as fill edges are added and vertices eliminated, and heuristics._run
+re-prices only the last activated node's neighbours; both must return
+exactly what the rescans return (the same decomposition, the same
+SolveResult and the same random draws), while their counted work grows
+linearly on paths and trees.
 """
 
 import random
@@ -17,10 +18,10 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
                        greedy_sequence, majority_sequence,
-                       min_fill_decomposition)
+                       min_fill_decomposition, random_connected)
 from stratdiff import heuristics, treewidth  # noqa: E402
-from helpers import (path_net, random_tree, reference_greedy,  # noqa: E402
-                     reference_majority, reference_min_fill)
+from helpers import (cycle_chord_block, path_net, random_tree,  # noqa: E402
+                     reference_greedy, reference_majority, reference_min_fill)
 
 POSITIVE = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
 WEIGHT = st.one_of(st.just(0.0), st.just(1.0), POSITIVE)
@@ -89,6 +90,21 @@ def test_min_fill_equals_reference_where_fills_rise():
         net = InfluenceNetwork(n, [(u, v, 1.0, 1.0) for u in range(n)
                                    for v in range(u + 1, n) if rng.random() < p])
         assert min_fill_decomposition(net) == reference_min_fill(net), s
+
+
+def test_min_fill_equals_reference_on_wide_sparse_graphs():
+    # 40-100 nodes of average degree 2-4 reach widths of 10-30, so a fill
+    # edge has many common neighbours and fills rise and fall many times
+    rng = random.Random(2143)
+    widths = []
+    for _ in range(40):
+        n = rng.randint(40, 100)
+        net = random_connected(n, rng.choice([2.0, 3.0, 4.0]) / n,
+                               rng_seed=rng.randrange(2**31))
+        td = min_fill_decomposition(net)
+        assert td == reference_min_fill(net), len(widths)
+        widths.append(td.width)
+    assert min(widths) <= 10 and max(widths) >= 30
 
 
 @pytest.mark.parametrize("net", [
@@ -178,3 +194,47 @@ def test_min_fill_counts_a_star_centre_once(monkeypatch):
         star = InfluenceNetwork(40, [(centre, i, 1.0, 1.0)
                                      for i in range(40) if i != centre])
         assert min_fill_decomposition(star) == reference_min_fill(star)
+
+
+def _block_chain(rng, blocks=10):
+    """Cycle-and-chord blocks of 10-16 nodes, each sharing one cut node with
+    the blocks before it, like the sparse benchmark's chains."""
+    edges, n, cut = [], 1, 0
+    for _ in range(blocks):
+        block = cycle_chord_block(rng.randrange(10, 17), rng)
+        ids = [cut] + list(range(n, n + block.node_count - 1))
+        n += block.node_count - 1
+        edges += [(ids[u], ids[v], a, b) for u, v, a, b in block.edges]
+        cut = ids[rng.randrange(1, len(ids))]
+    return InfluenceNetwork(n, edges)
+
+
+@pytest.mark.parametrize("net", [
+    random_connected(300, 1 / 300, rng_seed=2147),
+    _block_chain(random.Random(2147)),
+], ids=["sparse", "chain"])
+def test_min_fill_counts_each_fill_once(monkeypatch, net):
+    # Fills are counted once to start and then only updated, as fill edges
+    # are added and vertices eliminated (re-counting the two hops around
+    # each elimination made 6-15 counts per vertex on these two graphs)
+    calls = 0
+    fill = treewidth._fill
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return fill(*args)
+
+    monkeypatch.setattr(treewidth, "_fill", counting)
+    td = min_fill_decomposition(net)
+    assert td.width >= 3
+    assert calls == net.node_count
+
+
+def test_min_fill_decomposes_a_20001_node_star():
+    # A star's centre is counted in O(d), not O(d^2), and each leaf is
+    # simplicial: a few tenths of a second (the quadratic count took 6 s)
+    net = InfluenceNetwork(20_001, [(0, i, 1.0, 1.0) for i in range(1, 20_001)])
+    td = min_fill_decomposition(net)
+    assert td.width == 1
+    assert len(td.bags) == net.node_count

@@ -509,6 +509,13 @@ def test_step_times_masked_equals_scalar_kernel_on_wide_nodes():
                 got = _step_times_masked(table, m, i, alpha, beta)
                 want = [_step_time_masked(net, *p, alpha, beta) for p in pairs]
                 assert got.tolist() == want, (alpha, beta)
+                # every pair below the widest in-degree: the top ranks of
+                # the table hold no pair of the call
+                low = [p for p in pairs if degree[p[1]] < max(degree)]
+                m, i = (np.array(col) for col in zip(*low))
+                got = _step_times_masked(table, m, i, alpha, beta)
+                want = [_step_time_masked(net, *p, alpha, beta) for p in low]
+                assert got.tolist() == want, (alpha, beta)
 
 
 def _path_build_peak(n):
