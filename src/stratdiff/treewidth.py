@@ -485,33 +485,15 @@ def _solve_bag(instance, td, t, tables, ground, preds):
     return table
 
 
-def _merge_ordering(gstar, gamma):
-    """Splice a bag ordering into the global sequence under construction.
-
-    New nodes collected between shared nodes are inserted immediately
-    before the next shared node; a trailing run of new nodes is appended.
-    """
-    known = set(gstar)
-    out = list(gstar)
-    buf = []
-    for x in gamma:
-        if x in known:
-            if buf:
-                i = out.index(x)
-                out[i:i] = buf
-                buf = []
-        else:
-            buf.append(x)
-    out.extend(buf)
-    return out
-
-
 def _reconstruct(td, tables, z, j):
     """Top-down from root ordering j at budget z: each bag splits its budget
     over its kids along its chain, and each kid takes the ordering its profile
     recorded for that budget under the bag ordering's restriction.  No search:
-    a kid's ground meets earlier bags' grounds only inside its parent's."""
-    gstar = []
+    a kid's ground meets earlier bags' grounds only inside its parent's.
+    Each bag's new nodes are spliced in immediately before the next placed
+    node x, after any runs spliced there before (before[x], in splice order),
+    or appended to the tail; one stack pass flattens the runs at the end."""
+    before, tail = {}, []
     pick = {td.root: (z, j)}
     for t in td.topdown():
         k, j = pick.get(t, (0, -1))
@@ -519,7 +501,15 @@ def _reconstruct(td, tables, z, j):
             continue
         table = tables[t]
         gamma = table.orderings[j]
-        gstar = _merge_ordering(gstar, gamma)
+        run = []
+        for x in gamma:
+            if x in before:
+                before[x] += run
+                run = []
+            else:
+                run.append(x)
+        tail += run
+        before |= {x: [] for x in gamma if x not in before}
         profs = [prof[_restrict(gamma, s)] for s, prof in table.shared]
         chain = _chain(table.bases[j], profs, z)
         for kid, pv, prev in reversed(list(zip(td.children(t), profs, chain))):
@@ -531,6 +521,13 @@ def _reconstruct(td, tables, z, j):
             k = bm
         if k not in table.bases[j]:
             raise RuntimeError("budget not fully assigned")
+    gstar, stack = [], tail[::-1]
+    while stack:
+        x = stack.pop()
+        if runs := before.pop(x, None):
+            stack += [x, *reversed(runs)]
+        else:
+            gstar.append(x)
     return gstar
 
 

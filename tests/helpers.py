@@ -7,6 +7,7 @@ import random
 from stratdiff import (DiffusionInstance, InfluenceNetwork, TreeDecomposition,
                        check_instance, infeasible_result, sequence_time)
 from stratdiff.network import _step_time_masked
+from stratdiff.treewidth import _chain, _restrict
 
 
 def connected_unit_graphs(max_n):
@@ -53,12 +54,16 @@ def random_weighted_net(n, rng, edge_prob=0.4, lo=0.5, hi=2.0):
 def random_tree(n, rng, maxdeg=3, lo=0.5, hi=2.0, integer=False):
     """Random tree with bounded degree and per-direction weights."""
     deg = [0] * n
+    cands = [0]  # the nodes below maxdeg, ascending
     edges = []
     for v in range(1, n):
-        cands = [u for u in range(v) if deg[u] < maxdeg]
         u = rng.choice(cands)
         deg[u] += 1
         deg[v] += 1
+        if deg[u] == maxdeg:
+            cands.remove(u)
+        if deg[v] < maxdeg:
+            cands.append(v)
         if integer:
             w1, w2 = float(rng.randint(int(lo), int(hi))), \
                 float(rng.randint(int(lo), int(hi)))
@@ -196,6 +201,44 @@ def reference_min_fill(net):
         parent = min(pos[x] for x in others) if others else n - 1
         edges.append((i, parent))
     return TreeDecomposition(bags=bags, edges=edges, root=n - 1)
+
+
+def reference_reconstruct(td, tables, z, j):
+    """Tree-DP reconstruction that copies the global sequence at every bag,
+    finding each placed node with list.index: the O(n^2) reference for
+    treewidth._reconstruct."""
+    gstar = []
+    pick = {td.root: (z, j)}
+    for t in td.topdown():
+        k, j = pick.get(t, (0, -1))
+        if k == 0:
+            continue
+        table = tables[t]
+        gamma = table.orderings[j]
+        known = set(gstar)
+        gstar = list(gstar)
+        buf = []
+        for x in gamma:
+            if x in known:
+                if buf:
+                    i = gstar.index(x)
+                    gstar[i:i] = buf
+                    buf = []
+            else:
+                buf.append(x)
+        gstar.extend(buf)
+        profs = [prof[_restrict(gamma, s)] for s, prof in table.shared]
+        chain = _chain(table.bases[j], profs, z)
+        for kid, pv, prev in reversed(list(zip(td.children(t), profs, chain))):
+            bm = min((m for m in sorted(prev) if k - m in pv),
+                     key=lambda m: prev[m] + pv[k - m][0], default=None)
+            if bm is None:
+                raise RuntimeError("budget split lost during reconstruction")
+            pick[kid] = (k - bm, pv[k - bm][1])
+            k = bm
+        if k not in table.bases[j]:
+            raise RuntimeError("budget not fully assigned")
+    return gstar
 
 
 def _reference_run(instance, pick, name, rng):

@@ -1,12 +1,15 @@
-"""The incremental min-fill and the heuristics' frontier against their
-full-rescan references in tests/helpers.py, and the work each does.
+"""The incremental min-fill, the heuristics' frontier and the tree DP's
+splice against their full-rescan references in tests/helpers.py, and the
+work each does.
 
 min_fill_decomposition counts each vertex's fill once and then updates it
-as fill edges are added and vertices eliminated, and heuristics._run
-re-prices only the last activated node's neighbours; both must return
-exactly what the rescans return (the same decomposition, the same
-SolveResult and the same random draws), while their counted work grows
-linearly on paths and trees.
+as fill edges are added and vertices eliminated, heuristics._run
+re-prices only the last activated node's neighbours, and
+treewidth._reconstruct records each bag's new nodes before the placed node
+they precede and flattens them once; all must return exactly what the
+rescans return (the same decomposition, the same SolveResult and the same
+random draws, the same sequence), while their counted work grows linearly
+on paths and trees.
 """
 
 import random
@@ -17,11 +20,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from stratdiff import (DiffusionInstance, InfluenceNetwork,  # noqa: E402
-                       greedy_sequence, majority_sequence,
-                       min_fill_decomposition, random_connected)
+                       SizeGuardError, dp_optimal, greedy_sequence,
+                       majority_sequence, min_fill_decomposition,
+                       random_connected, solve_full_via_decomposition,
+                       tw_full_optimal, tw_partial_optimal)
 from stratdiff import heuristics, treewidth  # noqa: E402
-from helpers import (cycle_chord_block, path_net, random_tree,  # noqa: E402
-                     reference_greedy, reference_majority, reference_min_fill)
+from helpers import (blocky_graph, cycle_chord_block, path_net,  # noqa: E402
+                     random_tree, reference_greedy, reference_majority,
+                     reference_min_fill, reference_reconstruct, theta2_graph)
 
 POSITIVE = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
 WEIGHT = st.one_of(st.just(0.0), st.just(1.0), POSITIVE)
@@ -238,3 +244,51 @@ def test_min_fill_decomposes_a_20001_node_star():
     td = min_fill_decomposition(net)
     assert td.width == 1
     assert len(td.bags) == net.node_count
+
+
+def test_reconstruct_equals_reference(monkeypatch):
+    # Every tw_partial solve on sparse graphs, blocks and trees of up to
+    # 300 nodes (at every z; every tenth, from n down, on the largest tree)
+    # reconstructs the sequence that copying it at every bag and finding
+    # each placed node by index gives.  Grounds above 7 nodes are refused
+    # to keep the sweep to seconds: a ground of 9 enumerates up to 72 times
+    # as many orderings, and one such graph took over a minute
+    real, lengths = treewidth._reconstruct, []
+
+    def checked(*args):
+        got = real(*args)
+        assert got == reference_reconstruct(*args)
+        lengths.append(len(got))
+        return got
+
+    monkeypatch.setattr(treewidth, "_reconstruct", checked)
+    monkeypatch.setattr(treewidth, "GROUND_CAP", 7)
+    rng = random.Random(2153)
+    nets = [random_connected(n, p, rng_seed=rng.randrange(2**31))
+            for n in range(2, 31) for p in (0.05, 0.1, 0.2)]
+    nets += [blocky_graph(rng, rng.randint(3, 40)) for _ in range(10)]
+    nets += [theta2_graph(rng.randint(3, 60), rng) for _ in range(10)]
+    nets += [random_tree(n, rng) for n in (10, 30, 100, 300)]
+    refused = 0
+    for net in nets:
+        n = net.node_count
+        seed = rng.randrange(n)
+        for z in range(n, 0, -1 if n <= 100 else -10):
+            try:
+                tw_partial_optimal(DiffusionInstance(net, seed, z))
+            except SizeGuardError:
+                refused += 1
+    assert len(lengths) > 1000 and refused > 500
+    assert max(lengths) == 300
+
+
+def test_tw_full_solves_a_10001_node_tree():
+    # The splice costs O(n) in all, not a copy of the sequence per bag
+    # (which took about 2 s here)
+    net = random_tree(10_001, random.Random(2161))
+    inst = DiffusionInstance(net, seed=0, z=net.node_count)
+    res = tw_full_optimal(inst, min_fill_decomposition(net))
+    want = solve_full_via_decomposition(inst, dp_optimal).total_time
+    assert abs(res.total_time - want) <= 1e-9 * want
+    assert res.sequence[0] == inst.seed
+    assert sorted(res.sequence) == list(range(net.node_count))
